@@ -175,18 +175,6 @@ util::Status take_write(util::Result<std::vector<std::byte>> reply,
 /// so stale content cannot mask a broken rebuild) and the rebuild re-appends
 /// from zero.  Truncate's track-coalesced frees make this far cheaper than a
 /// per-block delete; a constituent missing entirely is created instead.
-util::Status reset_constituent(efs::EfsClient& lfs, efs::FileId id) {
-  auto truncated = lfs.truncate(id, 0);
-  if (truncated.is_ok()) return util::ok_status();
-  if (truncated.status().code() != util::ErrorCode::kNotFound) {
-    return truncated.status();
-  }
-  return lfs.create(id);
-}
-
-/// Async variant of reset_constituent: the truncate rides in the same batch
-/// as the first window's surviving-copy reads (the reset busies only the
-/// repaired LFS, the reads only the survivors — no reason to serialize).
 void issue_reset(sim::AsyncBatch& batch, efs::EfsClient& lfs,
                  efs::FileId id) {
   efs::TruncateRequest req{id, 0};
@@ -209,6 +197,179 @@ std::vector<std::uint32_t> local_range(std::uint32_t lo, std::uint32_t hi) {
   locals.reserve(hi - lo);
   for (std::uint32_t l = lo; l < hi; ++l) locals.push_back(l);
   return locals;
+}
+
+// --- Rebuild engine ---------------------------------------------------------
+
+/// One constituent a rebuild reads from (source) or re-creates (target).
+struct Constituent {
+  efs::EfsClient* lfs = nullptr;
+  efs::FileId id = 0;
+  std::uint32_t blocks = 0;  ///< local blocks it holds / must hold
+
+  /// End of this constituent's share of window [lo, hi): [lo, end) is empty
+  /// once the window runs past its last block.
+  [[nodiscard]] std::uint32_t end(std::uint32_t lo, std::uint32_t hi) const {
+    return std::max(lo, std::min(blocks, hi));
+  }
+};
+
+/// Wrapped blocks per constituent for one window, each run starting at the
+/// window's first local block.
+using WindowRuns = std::vector<std::vector<std::vector<std::byte>>>;
+
+/// The one windowed rebuild loop behind every `rebuild_lfs`.  Targets are
+/// reset (batch 0, alongside window 0's reads), then windows of local blocks
+/// stream through: one kReadMany per source, `reconstruct(lo, hi, runs)`
+/// turns the sources' runs into each target's payloads, and one write run
+/// per target lands them.  Double-buffered: the batch that carries window
+/// k's writes also carries window k+1's reads, so the targets land data
+/// while the sources stream ahead.  A failed write truncates every target
+/// back to its window start, so any failure leaves the targets at a window
+/// boundary and a retry starts clean.
+template <typename Reconstruct>
+util::Result<RebuildReport> run_rebuild(sim::Context& ctx, sim::RpcClient& rpc,
+                                        const std::vector<Constituent>& sources,
+                                        const std::vector<Constituent>& targets,
+                                        std::uint32_t window_blocks,
+                                        const char* where,
+                                        Reconstruct&& reconstruct) {
+  std::uint32_t window = std::max<std::uint32_t>(window_blocks, 1);
+  std::uint32_t todo = 0;
+  for (const auto& t : targets) todo = std::max(todo, t.blocks);
+  auto issue_reads = [&](sim::AsyncBatch& batch, std::uint32_t lo) {
+    std::uint32_t hi = std::min(todo, lo + window);
+    for (const auto& s : sources) {
+      if (lo < s.end(lo, hi)) {
+        issue_read_many(batch, *s.lfs, s.id, local_range(lo, s.end(lo, hi)));
+      }
+    }
+  };
+
+  RebuildReport report;
+  struct PendingWrite {
+    const Constituent* target;
+    std::uint32_t blocks;
+  };
+  std::vector<PendingWrite> pending;
+  std::uint32_t pending_lo = 0;
+  bool reset_pending = true;
+  // Take the replies riding at the front of a drained batch: the resets
+  // (batch 0 only), then the previous window's writes.
+  auto reap = [&](std::vector<util::Result<std::vector<std::byte>>>& replies,
+                  std::size_t& b) -> util::Status {
+    if (reset_pending) {
+      for (const auto& t : targets) {
+        if (auto st = take_reset(std::move(replies[b++]), *t.lfs, t.id);
+            !st.is_ok()) {
+          return st;
+        }
+      }
+      reset_pending = false;
+    }
+    util::Status write_status = util::ok_status();
+    for (const auto& w : pending) {
+      auto st = take_write(std::move(replies[b++]), *w.target->lfs,
+                           w.target->id, w.blocks > 1);
+      if (!st.is_ok() && write_status.is_ok()) write_status = st;
+    }
+    if (!write_status.is_ok()) {
+      for (const auto& t : targets) {
+        rollback_truncate(*t.lfs, t.id, pending_lo, where);
+      }
+      return write_status;
+    }
+    for (const auto& w : pending) report.blocks_rebuilt += w.blocks;
+    if (!pending.empty()) ++report.windows;
+    pending.clear();
+    return util::ok_status();
+  };
+
+  auto batch = std::make_unique<sim::AsyncBatch>(rpc);
+  for (const auto& t : targets) issue_reset(*batch, *t.lfs, t.id);
+  issue_reads(*batch, 0);
+  for (std::uint32_t lo = 0; lo < todo; lo += window) {
+    sim::ScopedSpan window_span(ctx, "rebuild.window");
+    std::uint32_t hi = std::min(todo, lo + window);
+    auto replies = batch->wait_all();
+    std::size_t b = 0;
+    if (auto st = reap(replies, b); !st.is_ok()) return st;
+
+    WindowRuns runs(sources.size());
+    for (std::size_t i = 0; i < sources.size(); ++i) {
+      std::uint32_t end = sources[i].end(lo, hi);
+      if (lo == end) continue;
+      auto run = take_read_many(std::move(replies[b++]), *sources[i].lfs,
+                                sources[i].id);
+      if (!run.is_ok()) return run.status();
+      if (run.value().size() != end - lo) {
+        return util::corrupt("LFS returned a short vectored read");
+      }
+      report.blocks_read += end - lo;
+      runs[i] = std::move(run).value();
+    }
+    auto payloads = reconstruct(lo, hi, runs);
+    if (!payloads.is_ok()) return payloads.status();
+
+    batch = std::make_unique<sim::AsyncBatch>(rpc);
+    for (std::size_t t = 0; t < targets.size(); ++t) {
+      std::uint32_t end = targets[t].end(lo, hi);
+      if (lo == end) continue;
+      pending.push_back({&targets[t], end - lo});
+      issue_write_run(*batch, *targets[t].lfs, targets[t].id,
+                      local_range(lo, end), std::move(payloads.value()[t]));
+    }
+    pending_lo = lo;
+    if (hi < todo) issue_reads(*batch, hi);
+  }
+
+  // Drain the final window's writes (or, for an empty file, the resets).
+  auto replies = batch->wait_all();
+  std::size_t b = 0;
+  if (auto st = reap(replies, b); !st.is_ok()) return st;
+  return report;
+}
+
+/// Running XOR of one parity stripe.  A data block contributes its payload
+/// and payload length; a parity block its payload and its length word
+/// (reserved0, the XOR of the stripe's lengths), and its fill word.
+struct StripeXor {
+  std::vector<std::byte> bytes = std::vector<std::byte>(efs::kUserDataBytes);
+  std::uint32_t length_xor = 0;
+  std::uint32_t data_blocks = 0;   ///< data blocks folded
+  std::uint32_t parity_fill = 0;   ///< folded parity block's fill word
+
+  util::Status fold(std::span<const std::byte> raw, bool is_parity) {
+    auto block = unwrap_block(raw);
+    if (!block.is_ok()) return block.status();
+    const auto& payload = block.value().user_data;
+    for (std::size_t b = 0; b < payload.size(); ++b) bytes[b] ^= payload[b];
+    if (is_parity) {
+      length_xor ^= block.value().header.reserved0;
+      parity_fill = block.value().header.reserved1;
+    } else {
+      length_xor ^= static_cast<std::uint32_t>(payload.size());
+      ++data_blocks;
+    }
+    return util::ok_status();
+  }
+};
+
+/// Fold a window of `count` stripes run by run; runs at index `parity_run`
+/// and beyond are parity blocks.
+util::Result<std::vector<StripeXor>> fold_window(std::uint32_t count,
+                                                 const WindowRuns& runs,
+                                                 std::size_t parity_run) {
+  std::vector<StripeXor> stripes(count);
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    for (std::size_t s = 0; s < runs[i].size(); ++s) {
+      if (auto st = stripes[s].fold(runs[i][s], i >= parity_run);
+          !st.is_ok()) {
+        return st;
+      }
+    }
+  }
+  return stripes;
 }
 
 }  // namespace
@@ -376,232 +537,47 @@ util::Result<RebuildReport> MirroredFile::rebuild_lfs(
     std::uint32_t failed_idx, RebuildOptions options) {
   std::uint32_t p = env_.num_lfs();
   if (failed_idx >= p) return util::invalid_argument("no such LFS");
-  std::uint32_t window = std::max<std::uint32_t>(options.window_blocks, 1);
 
   // LFS f held two constituents: the primary blocks homed on f (mirrored on
   // partner = f + p/2) and the mirror copies of blocks homed on g = f - p/2.
-  std::uint32_t o_f = (failed_idx + p - primary_.start_lfs % p) % p;
+  // Source t holds the surviving copy of target t's blocks.
   std::uint32_t partner = (failed_idx + p / 2) % p;
   std::uint32_t g = (failed_idx + p - p / 2) % p;
-  std::uint32_t o_g = (g + p - primary_.start_lfs % p) % p;
-  std::uint32_t primary_count = offset_count(size_, p, o_f);
-  std::uint32_t mirror_count = offset_count(size_, p, o_g);
+  std::uint32_t start = primary_.start_lfs % p;
+  const std::uint32_t offsets[2] = {(failed_idx + p - start) % p,
+                                    (g + p - start) % p};
+  const FileMeta* metas[2] = {&primary_, &mirror_};
+  std::uint32_t primary_count = offset_count(size_, p, offsets[0]);
+  std::uint32_t mirror_count = offset_count(size_, p, offsets[1]);
+  std::vector<Constituent> sources = {
+      {lfs_[partner].get(), mirror_.lfs_file_id, primary_count},
+      {lfs_[g].get(), primary_.lfs_file_id, mirror_count}};
+  std::vector<Constituent> targets = {
+      {lfs_[failed_idx].get(), primary_.lfs_file_id, primary_count},
+      {lfs_[failed_idx].get(), mirror_.lfs_file_id, mirror_count}};
 
-  // Rewrap a surviving copy for the constituent being rebuilt, verifying the
-  // checksum and global position en route.
-  auto rewrap = [](const UnwrappedBlock& block, const FileMeta& target,
-                   std::uint64_t expected_global)
-      -> util::Result<std::vector<std::byte>> {
-    if (block.header.global_block_no != expected_global) {
-      return util::corrupt("surviving copy holds the wrong global block");
+  // Rewrap each surviving copy for the constituent being rebuilt, verifying
+  // the checksum and global position en route.
+  auto rewrap = [&](std::uint32_t lo, std::uint32_t,
+                    const WindowRuns& runs) -> util::Result<WindowRuns> {
+    WindowRuns payloads(2);
+    for (std::size_t t = 0; t < 2; ++t) {
+      for (std::size_t i = 0; i < runs[t].size(); ++i) {
+        auto block = unwrap_block(runs[t][i]);
+        if (!block.is_ok()) return block.status();
+        std::uint64_t global = (lo + i) * p + offsets[t];
+        if (block.value().header.global_block_no != global) {
+          return util::corrupt("surviving copy holds the wrong global block");
+        }
+        auto wrapped = wrap_for(*metas[t], global, block.value().user_data);
+        if (!wrapped.is_ok()) return wrapped.status();
+        payloads[t].push_back(std::move(wrapped).value());
+      }
     }
-    return wrap_for(target, expected_global, block.user_data);
+    return payloads;
   };
-
-  RebuildReport report;
-  std::uint32_t todo = std::max(primary_count, mirror_count);
-  if (todo == 0 || !options.vectored) {
-    if (auto st = reset_constituent(*lfs_[failed_idx], primary_.lfs_file_id);
-        !st.is_ok()) {
-      return st;
-    }
-    if (auto st = reset_constituent(*lfs_[failed_idx], mirror_.lfs_file_id);
-        !st.is_ok()) {
-      return st;
-    }
-    if (todo == 0) return report;
-  }
-
-  if (options.vectored) {
-    // Double-buffered streaming: each batch carries the previous window's
-    // reconstructed writes together with the NEXT window's surviving-copy
-    // reads, so the repaired LFS lands data while both partners stream the
-    // window after it — the disks never wait on each other.
-    struct PendingWrite {
-      efs::FileId id = 0;
-      bool vectored = false;
-      std::uint32_t blocks = 0;
-    };
-    auto issue_window_reads = [&](sim::AsyncBatch& batch, std::uint32_t lo) {
-      std::uint32_t primary_hi = std::min(primary_count, lo + window);
-      std::uint32_t mirror_hi = std::min(mirror_count, lo + window);
-      if (lo < primary_hi) {
-        issue_read_many(batch, *lfs_[partner], mirror_.lfs_file_id,
-                        local_range(lo, primary_hi));
-      }
-      if (lo < mirror_hi) {
-        issue_read_many(batch, *lfs_[g], primary_.lfs_file_id,
-                        local_range(lo, mirror_hi));
-      }
-    };
-
-    auto batch = std::make_unique<sim::AsyncBatch>(*rpc_);
-    issue_reset(*batch, *lfs_[failed_idx], primary_.lfs_file_id);
-    issue_reset(*batch, *lfs_[failed_idx], mirror_.lfs_file_id);
-    issue_window_reads(*batch, 0);
-    bool reset_pending = true;
-    std::vector<PendingWrite> pending;
-    std::uint32_t pending_lo = 0;
-
-    // Reap the writes riding at the front of a drained batch; a failure
-    // truncates both constituents back to their window start so a retry
-    // resumes from a clean boundary.
-    auto reap_pending =
-        [&](std::vector<util::Result<std::vector<std::byte>>>& replies,
-            std::size_t& b) -> util::Status {
-      util::Status write_status = util::ok_status();
-      for (auto& w : pending) {
-        auto st = take_write(std::move(replies[b++]), *lfs_[failed_idx], w.id,
-                             w.vectored);
-        if (!st.is_ok() && write_status.is_ok()) write_status = st;
-      }
-      if (!write_status.is_ok()) {
-        rollback_truncate(*lfs_[failed_idx], primary_.lfs_file_id, pending_lo,
-                          "MirroredFile::rebuild_lfs");
-        rollback_truncate(*lfs_[failed_idx], mirror_.lfs_file_id, pending_lo,
-                          "MirroredFile::rebuild_lfs");
-        return write_status;
-      }
-      for (const auto& w : pending) report.blocks_rebuilt += w.blocks;
-      if (!pending.empty()) ++report.windows;
-      pending.clear();
-      return util::ok_status();
-    };
-
-    for (std::uint32_t lo = 0; lo < todo; lo += window) {
-      sim::ScopedSpan window_span(*ctx_, "rebuild.window");
-      std::uint32_t primary_hi = std::min(primary_count, lo + window);
-      std::uint32_t mirror_hi = std::min(mirror_count, lo + window);
-      auto replies = batch->wait_all();
-      std::size_t b = 0;
-      if (reset_pending) {
-        if (auto st = take_reset(std::move(replies[b++]), *lfs_[failed_idx],
-                                 primary_.lfs_file_id);
-            !st.is_ok()) {
-          return st;
-        }
-        if (auto st = take_reset(std::move(replies[b++]), *lfs_[failed_idx],
-                                 mirror_.lfs_file_id);
-            !st.is_ok()) {
-          return st;
-        }
-        reset_pending = false;
-      }
-      if (auto st = reap_pending(replies, b); !st.is_ok()) return st;
-
-      util::Result<std::vector<std::vector<std::byte>>> from_partner =
-          lo < primary_hi ? take_read_many(std::move(replies[b++]),
-                                           *lfs_[partner], mirror_.lfs_file_id)
-                          : std::vector<std::vector<std::byte>>{};
-      if (!from_partner.is_ok()) return from_partner.status();
-      auto from_g = lo < mirror_hi
-                        ? take_read_many(std::move(replies[b++]), *lfs_[g],
-                                         primary_.lfs_file_id)
-                        : std::vector<std::vector<std::byte>>{};
-      if (!from_g.is_ok()) return from_g.status();
-
-      std::vector<std::vector<std::byte>> primary_payloads, mirror_payloads;
-      for (std::uint32_t l = lo; l < primary_hi; ++l) {
-        auto unwrapped = unwrap_block(from_partner.value()[l - lo]);
-        if (!unwrapped.is_ok()) return unwrapped.status();
-        auto wrapped = rewrap(unwrapped.value(), primary_,
-                              static_cast<std::uint64_t>(l) * p + o_f);
-        if (!wrapped.is_ok()) return wrapped.status();
-        primary_payloads.push_back(std::move(wrapped).value());
-        ++report.blocks_read;
-      }
-      for (std::uint32_t l = lo; l < mirror_hi; ++l) {
-        auto unwrapped = unwrap_block(from_g.value()[l - lo]);
-        if (!unwrapped.is_ok()) return unwrapped.status();
-        auto wrapped = rewrap(unwrapped.value(), mirror_,
-                              static_cast<std::uint64_t>(l) * p + o_g);
-        if (!wrapped.is_ok()) return wrapped.status();
-        mirror_payloads.push_back(std::move(wrapped).value());
-        ++report.blocks_read;
-      }
-
-      batch = std::make_unique<sim::AsyncBatch>(*rpc_);
-      if (!primary_payloads.empty()) {
-        pending.push_back({primary_.lfs_file_id, primary_payloads.size() > 1,
-                           primary_hi - lo});
-        issue_write_run(*batch, *lfs_[failed_idx], primary_.lfs_file_id,
-                        local_range(lo, primary_hi),
-                        std::move(primary_payloads));
-      }
-      if (!mirror_payloads.empty()) {
-        pending.push_back({mirror_.lfs_file_id, mirror_payloads.size() > 1,
-                           mirror_hi - lo});
-        issue_write_run(*batch, *lfs_[failed_idx], mirror_.lfs_file_id,
-                        local_range(lo, mirror_hi), std::move(mirror_payloads));
-      }
-      pending_lo = lo;
-      if (lo + window < todo) issue_window_reads(*batch, lo + window);
-    }
-
-    // Drain the final window's writes.
-    auto replies = batch->wait_all();
-    std::size_t b = 0;
-    if (auto st = reap_pending(replies, b); !st.is_ok()) return st;
-    return report;
-  }
-
-  // Reference path: one RPC per block, strictly sequential.
-  for (std::uint32_t lo = 0; lo < todo; lo += window) {
-    sim::ScopedSpan window_span(*ctx_, "rebuild.window");
-    std::uint32_t primary_hi = std::min(primary_count, lo + window);
-    std::uint32_t mirror_hi = std::min(mirror_count, lo + window);
-    std::vector<std::vector<std::byte>> primary_payloads, mirror_payloads;
-    for (std::uint32_t l = lo; l < primary_hi; ++l) {
-      auto block = read_block(*lfs_[partner], mirror_, l);
-      if (!block.is_ok()) return block.status();
-      auto wrapped = rewrap(block.value(), primary_,
-                            static_cast<std::uint64_t>(l) * p + o_f);
-      if (!wrapped.is_ok()) return wrapped.status();
-      primary_payloads.push_back(std::move(wrapped).value());
-      ++report.blocks_read;
-    }
-    for (std::uint32_t l = lo; l < mirror_hi; ++l) {
-      auto block = read_block(*lfs_[g], primary_, l);
-      if (!block.is_ok()) return block.status();
-      auto wrapped = rewrap(block.value(), mirror_,
-                            static_cast<std::uint64_t>(l) * p + o_g);
-      if (!wrapped.is_ok()) return wrapped.status();
-      mirror_payloads.push_back(std::move(wrapped).value());
-      ++report.blocks_read;
-    }
-
-    // Land the reconstructed runs; a failure mid-window truncates back to
-    // the window start so a retry resumes from a clean boundary.
-    util::Status write_status = util::ok_status();
-    for (std::size_t i = 0; i < primary_payloads.size() &&
-                            write_status.is_ok();
-         ++i) {
-      write_status = lfs_[failed_idx]
-                         ->write(primary_.lfs_file_id,
-                                 lo + static_cast<std::uint32_t>(i),
-                                 primary_payloads[i])
-                         .status();
-    }
-    for (std::size_t i = 0; i < mirror_payloads.size() &&
-                            write_status.is_ok();
-         ++i) {
-      write_status = lfs_[failed_idx]
-                         ->write(mirror_.lfs_file_id,
-                                 lo + static_cast<std::uint32_t>(i),
-                                 mirror_payloads[i])
-                         .status();
-    }
-    if (!write_status.is_ok()) {
-      rollback_truncate(*lfs_[failed_idx], primary_.lfs_file_id, lo,
-                        "MirroredFile::rebuild_lfs");
-      rollback_truncate(*lfs_[failed_idx], mirror_.lfs_file_id, lo,
-                        "MirroredFile::rebuild_lfs");
-      return write_status;
-    }
-    report.blocks_rebuilt += (primary_hi - lo) + (mirror_hi - lo);
-    ++report.windows;
-  }
-  return report;
+  return run_rebuild(*ctx_, *rpc_, sources, targets, options.window_blocks,
+                     "MirroredFile::rebuild_lfs", rewrap);
 }
 
 // --- ParityFile -------------------------------------------------------------
@@ -822,451 +798,100 @@ util::Result<std::vector<std::byte>> ParityFile::read(std::uint64_t n,
              static_cast<std::uint32_t>(stripe));
   auto replies = batch.wait_all();
 
-  std::vector<std::byte> acc(efs::kUserDataBytes, std::byte{0});
-  std::uint32_t length_xor = 0;
+  StripeXor stripe_xor;
   for (std::size_t b = 0; b < sibling_lfs.size(); ++b) {
     auto raw = take_read(std::move(replies[b]), *lfs_[sibling_lfs[b]],
                          data_.lfs_file_id);
     if (!raw.is_ok()) {
       return util::unavailable("double failure: cannot reconstruct");
     }
-    auto sibling = unwrap_block(raw.value());
-    if (!sibling.is_ok()) return sibling.status();
-    const auto& payload = sibling.value().user_data;
-    for (std::size_t b2 = 0; b2 < payload.size(); ++b2) acc[b2] ^= payload[b2];
-    length_xor ^= static_cast<std::uint32_t>(payload.size());
+    if (auto st = stripe_xor.fold(raw.value(), /*is_parity=*/false);
+        !st.is_ok()) {
+      return st;
+    }
   }
   auto parity_raw = take_read(std::move(replies[sibling_lfs.size()]),
                               *lfs_[parity_lfs_index()], parity_.lfs_file_id);
   if (!parity_raw.is_ok()) return parity_raw.status();
-  auto parity = unwrap_block(parity_raw.value());
-  if (!parity.is_ok()) return parity.status();
-  const auto& parity_payload = parity.value().user_data;
-  for (std::size_t b = 0; b < parity_payload.size(); ++b) {
-    acc[b] ^= parity_payload[b];
+  if (auto st = stripe_xor.fold(parity_raw.value(), /*is_parity=*/true);
+      !st.is_ok()) {
+    return st;
   }
-  std::uint32_t fill = parity.value().header.reserved1;
-  if (fill != stripe_end - stripe_first) {
+  if (stripe_xor.parity_fill != stripe_end - stripe_first) {
     return util::corrupt("parity fill word disagrees with file size");
   }
   // The failed block's true length: XOR of the stripe's lengths (parity
   // header) against the surviving lengths.
-  std::uint32_t failed_len = parity.value().header.reserved0 ^ length_xor;
-  if (failed_len > efs::kUserDataBytes) {
+  if (stripe_xor.length_xor > efs::kUserDataBytes) {
     return util::corrupt("reconstructed length out of range");
   }
-  acc.resize(failed_len);
-  return acc;
+  stripe_xor.bytes.resize(stripe_xor.length_xor);
+  return std::move(stripe_xor.bytes);
 }
 
 util::Result<RebuildReport> ParityFile::rebuild_lfs(std::uint32_t failed_idx,
                                                     RebuildOptions options) {
-  std::uint32_t total = env_.num_lfs();
-  if (failed_idx >= total) return util::invalid_argument("no such LFS");
-  if (options.window_blocks == 0) options.window_blocks = 1;
-  if (failed_idx == parity_lfs_index()) return rebuild_parity_lfs(options);
-  return rebuild_data_lfs(failed_idx, options);
-}
-
-util::Result<RebuildReport> ParityFile::rebuild_data_lfs(
-    std::uint32_t failed_idx, const RebuildOptions& options) {
   std::uint32_t width = data_width();
   std::uint32_t total = env_.num_lfs();
+  if (failed_idx >= total) return util::invalid_argument("no such LFS");
+  std::vector<Constituent> data;
+  for (std::uint32_t o = 0; o < width; ++o) {
+    data.push_back({lfs_[(data_.start_lfs + o) % total].get(),
+                    data_.lfs_file_id, offset_count(size_, width, o)});
+  }
+  Constituent parity{lfs_[parity_lfs_index()].get(), parity_.lfs_file_id,
+                     static_cast<std::uint32_t>((size_ + width - 1) / width)};
+
+  if (failed_idx == parity_lfs_index()) {
+    // Parity block s is the XOR of stripe s's data payloads; its header
+    // words carry the stripe's length XOR and fill count.
+    auto recompute = [&](std::uint32_t lo, std::uint32_t hi,
+                         const WindowRuns& runs) -> util::Result<WindowRuns> {
+      auto stripes = fold_window(hi - lo, runs, runs.size());
+      if (!stripes.is_ok()) return stripes.status();
+      WindowRuns payloads(1);
+      for (std::uint32_t s = lo; s < hi; ++s) {
+        const auto& x = stripes.value()[s - lo];
+        auto wrapped = wrap_for(parity_, s, x.bytes, x.length_xor,
+                                x.data_blocks);
+        if (!wrapped.is_ok()) return wrapped.status();
+        payloads[0].push_back(std::move(wrapped).value());
+      }
+      return payloads;
+    };
+    return run_rebuild(*ctx_, *rpc_, data, {parity}, options.window_blocks,
+                       "ParityFile::rebuild_lfs", recompute);
+  }
+
   std::uint32_t o_f = (failed_idx + total - data_.start_lfs % total) % total;
   if (o_f >= width) {
     return util::invalid_argument("LFS holds no data constituent");
   }
-  std::uint32_t lost = offset_count(size_, width, o_f);
-
-  RebuildReport report;
-  if (lost == 0 || !options.vectored) {
-    if (auto st = reset_constituent(*lfs_[failed_idx], data_.lfs_file_id);
-        !st.is_ok()) {
-      return st;
-    }
-    if (lost == 0) return report;
-  }
-
-  // Per stripe s: XOR of the surviving data blocks and the parity block
-  // re-derives the lost block; the parity header's length word re-derives
-  // its exact byte length.  Window-sized accumulators shared by both modes.
-  std::uint32_t win_lo = 0;
-  std::vector<std::vector<std::byte>> acc;
-  std::vector<std::uint32_t> length_xor;
-  std::vector<std::uint32_t> parity_folded;
-  auto reset_window = [&](std::uint32_t lo, std::uint32_t hi) {
-    win_lo = lo;
-    acc.assign(hi - lo,
-               std::vector<std::byte>(efs::kUserDataBytes, std::byte{0}));
-    length_xor.assign(hi - lo, 0);
-    parity_folded.assign(hi - lo, 0);
-  };
-  auto fold_sibling = [&](std::uint32_t s,
-                          std::span<const std::byte> raw) -> util::Status {
-    auto sibling = unwrap_block(raw);
-    if (!sibling.is_ok()) return sibling.status();
-    const auto& payload = sibling.value().user_data;
-    for (std::size_t b = 0; b < payload.size(); ++b) {
-      acc[s - win_lo][b] ^= payload[b];
-    }
-    length_xor[s - win_lo] ^= static_cast<std::uint32_t>(payload.size());
-    ++report.blocks_read;
-    return util::ok_status();
-  };
-  auto fold_parity = [&](std::uint32_t s,
-                         std::span<const std::byte> raw) -> util::Status {
-    auto parity = unwrap_block(raw);
-    if (!parity.is_ok()) return parity.status();
-    const auto& payload = parity.value().user_data;
-    for (std::size_t b = 0; b < payload.size(); ++b) {
-      acc[s - win_lo][b] ^= payload[b];
-    }
-    length_xor[s - win_lo] ^= parity.value().header.reserved0;
-    parity_folded[s - win_lo] = 1;
-    ++report.blocks_read;
-    return util::ok_status();
-  };
-  auto wrap_window = [&](std::uint32_t lo, std::uint32_t hi)
-      -> util::Result<std::vector<std::vector<std::byte>>> {
-    std::vector<std::vector<std::byte>> payloads;
-    payloads.reserve(hi - lo);
+  // Lost block s is the XOR of stripe s's surviving data blocks and its
+  // parity block; the parity length word re-derives its exact byte length.
+  Constituent target = data[o_f];
+  data.erase(data.begin() + o_f);
+  data.push_back(parity);
+  auto reconstruct = [&](std::uint32_t lo, std::uint32_t hi,
+                         const WindowRuns& runs) -> util::Result<WindowRuns> {
+    auto stripes = fold_window(hi - lo, runs, runs.size() - 1);
+    if (!stripes.is_ok()) return stripes.status();
+    WindowRuns payloads(1);
     for (std::uint32_t s = lo; s < hi; ++s) {
-      std::uint32_t len = length_xor[s - lo];
-      if (parity_folded[s - lo] == 0 || len > efs::kUserDataBytes) {
+      const auto& x = stripes.value()[s - lo];
+      if (x.length_xor > efs::kUserDataBytes) {
         return util::corrupt("reconstructed length out of range");
       }
-      std::vector<std::byte> block(acc[s - lo].begin(),
-                                   acc[s - lo].begin() + len);
       auto wrapped = wrap_for(
-          data_, static_cast<std::uint64_t>(s) * width + o_f, block);
+          data_, static_cast<std::uint64_t>(s) * width + o_f,
+          std::span<const std::byte>(x.bytes).first(x.length_xor));
       if (!wrapped.is_ok()) return wrapped.status();
-      payloads.push_back(std::move(wrapped).value());
+      payloads[0].push_back(std::move(wrapped).value());
     }
     return payloads;
   };
-
-  if (options.vectored) {
-    // Double-buffered streaming: each batch carries the previous window's
-    // reconstructed write together with the NEXT window's surviving reads,
-    // so the repaired LFS lands data while the survivors stream ahead.
-    struct Source {
-      std::uint32_t lfs;
-      efs::FileId id;
-      std::uint32_t o;       ///< data offset, or width for parity
-      std::uint32_t sub_hi;  ///< exclusive local bound for this source
-    };
-    auto issue_window_reads = [&](sim::AsyncBatch& batch, std::uint32_t lo) {
-      std::uint32_t hi = std::min(lost, lo + options.window_blocks);
-      std::vector<Source> sources;
-      for (std::uint32_t o = 0; o < width; ++o) {
-        if (o == o_f) continue;
-        std::uint32_t sub_hi = std::min(offset_count(size_, width, o), hi);
-        if (lo >= sub_hi) continue;
-        std::uint32_t lfs = (data_.start_lfs + o) % total;
-        sources.push_back({lfs, data_.lfs_file_id, o, sub_hi});
-        issue_read_many(batch, *lfs_[lfs], data_.lfs_file_id,
-                        local_range(lo, sub_hi));
-      }
-      sources.push_back({parity_lfs_index(), parity_.lfs_file_id, width, hi});
-      issue_read_many(batch, *lfs_[parity_lfs_index()], parity_.lfs_file_id,
-                      local_range(lo, hi));
-      return sources;
-    };
-
-    auto batch = std::make_unique<sim::AsyncBatch>(*rpc_);
-    issue_reset(*batch, *lfs_[failed_idx], data_.lfs_file_id);
-    std::vector<Source> sources = issue_window_reads(*batch, 0);
-    bool reset_pending = true;
-    bool write_pending = false, write_vectored = false;
-    std::uint32_t pending_lo = 0, pending_hi = 0;
-
-    for (std::uint32_t lo = 0; lo < lost; lo += options.window_blocks) {
-      sim::ScopedSpan window_span(*ctx_, "rebuild.window");
-      std::uint32_t hi = std::min(lost, lo + options.window_blocks);
-      auto replies = batch->wait_all();
-      std::size_t b = 0;
-      if (reset_pending) {
-        if (auto st = take_reset(std::move(replies[b++]), *lfs_[failed_idx],
-                                 data_.lfs_file_id);
-            !st.is_ok()) {
-          return st;
-        }
-        reset_pending = false;
-      }
-      if (write_pending) {
-        auto st = take_write(std::move(replies[b++]), *lfs_[failed_idx],
-                             data_.lfs_file_id, write_vectored);
-        if (!st.is_ok()) {
-          rollback_truncate(*lfs_[failed_idx], data_.lfs_file_id, pending_lo,
-                            "ParityFile::rebuild_data_lfs");
-          return st;
-        }
-        report.blocks_rebuilt += pending_hi - pending_lo;
-        ++report.windows;
-        write_pending = false;
-      }
-
-      reset_window(lo, hi);
-      for (std::size_t i = 0; i < sources.size(); ++i) {
-        auto run = take_read_many(std::move(replies[b + i]),
-                                  *lfs_[sources[i].lfs], sources[i].id);
-        if (!run.is_ok()) return run.status();
-        for (std::uint32_t s = lo; s < sources[i].sub_hi; ++s) {
-          auto st = sources[i].o == width
-                        ? fold_parity(s, run.value()[s - lo])
-                        : fold_sibling(s, run.value()[s - lo]);
-          if (!st.is_ok()) return st;
-        }
-      }
-      auto payloads = wrap_window(lo, hi);
-      if (!payloads.is_ok()) return payloads.status();
-
-      batch = std::make_unique<sim::AsyncBatch>(*rpc_);
-      write_vectored = payloads.value().size() > 1;
-      issue_write_run(*batch, *lfs_[failed_idx], data_.lfs_file_id,
-                      local_range(lo, hi), std::move(payloads).value());
-      write_pending = true;
-      pending_lo = lo;
-      pending_hi = hi;
-      if (hi < lost) sources = issue_window_reads(*batch, hi);
-    }
-
-    // Drain the final window's write.
-    auto replies = batch->wait_all();
-    auto st = take_write(std::move(replies[0]), *lfs_[failed_idx],
-                         data_.lfs_file_id, write_vectored);
-    if (!st.is_ok()) {
-      rollback_truncate(*lfs_[failed_idx], data_.lfs_file_id, pending_lo,
-                        "ParityFile::rebuild_data_lfs");
-      return st;
-    }
-    report.blocks_rebuilt += pending_hi - pending_lo;
-    ++report.windows;
-    return report;
-  }
-
-  // Reference path: one RPC per surviving block, strictly sequential.
-  for (std::uint32_t lo = 0; lo < lost; lo += options.window_blocks) {
-    sim::ScopedSpan window_span(*ctx_, "rebuild.window");
-    std::uint32_t hi = std::min(lost, lo + options.window_blocks);
-    reset_window(lo, hi);
-    for (std::uint32_t s = lo; s < hi; ++s) {
-      for (std::uint32_t o = 0; o < width; ++o) {
-        if (o == o_f || s >= offset_count(size_, width, o)) continue;
-        auto raw = lfs_[(data_.start_lfs + o) % total]->read(
-            data_.lfs_file_id, s);
-        if (!raw.is_ok()) return raw.status();
-        if (auto st = fold_sibling(s, raw.value().data); !st.is_ok()) {
-          return st;
-        }
-      }
-      auto raw = lfs_[parity_lfs_index()]->read(parity_.lfs_file_id, s);
-      if (!raw.is_ok()) return raw.status();
-      if (auto st = fold_parity(s, raw.value().data); !st.is_ok()) return st;
-    }
-
-    auto payloads = wrap_window(lo, hi);
-    if (!payloads.is_ok()) return payloads.status();
-    util::Status write_status = util::ok_status();
-    for (std::uint32_t s = lo; s < hi && write_status.is_ok(); ++s) {
-      write_status = lfs_[failed_idx]
-                         ->write(data_.lfs_file_id, s,
-                                 payloads.value()[s - lo])
-                         .status();
-    }
-    if (!write_status.is_ok()) {
-      rollback_truncate(*lfs_[failed_idx], data_.lfs_file_id, lo,
-                        "ParityFile::rebuild_data_lfs");
-      return write_status;
-    }
-    report.blocks_rebuilt += hi - lo;
-    ++report.windows;
-  }
-  return report;
-}
-
-util::Result<RebuildReport> ParityFile::rebuild_parity_lfs(
-    const RebuildOptions& options) {
-  std::uint32_t width = data_width();
-  std::uint32_t total = env_.num_lfs();
-  std::uint32_t stripes =
-      static_cast<std::uint32_t>((size_ + width - 1) / width);
-
-  RebuildReport report;
-  if (stripes == 0 || !options.vectored) {
-    if (auto st = reset_constituent(*lfs_[parity_lfs_index()],
-                                    parity_.lfs_file_id);
-        !st.is_ok()) {
-      return st;
-    }
-    if (stripes == 0) return report;
-  }
-
-  // Window-sized accumulators shared by both modes: parity block s is the
-  // XOR of stripe s's data payloads; its header carries the length XOR and
-  // the fill count.
-  std::uint32_t win_lo = 0;
-  std::vector<std::vector<std::byte>> acc;
-  std::vector<std::uint32_t> length_xor;
-  std::vector<std::uint32_t> fill;
-  auto reset_window = [&](std::uint32_t lo, std::uint32_t hi) {
-    win_lo = lo;
-    acc.assign(hi - lo,
-               std::vector<std::byte>(efs::kUserDataBytes, std::byte{0}));
-    length_xor.assign(hi - lo, 0);
-    fill.assign(hi - lo, 0);
-  };
-  auto fold = [&](std::uint32_t s,
-                  std::span<const std::byte> raw) -> util::Status {
-    auto block = unwrap_block(raw);
-    if (!block.is_ok()) return block.status();
-    const auto& payload = block.value().user_data;
-    for (std::size_t b = 0; b < payload.size(); ++b) {
-      acc[s - win_lo][b] ^= payload[b];
-    }
-    length_xor[s - win_lo] ^= static_cast<std::uint32_t>(payload.size());
-    ++fill[s - win_lo];
-    ++report.blocks_read;
-    return util::ok_status();
-  };
-  auto wrap_window = [&](std::uint32_t lo, std::uint32_t hi)
-      -> util::Result<std::vector<std::vector<std::byte>>> {
-    std::vector<std::vector<std::byte>> payloads;
-    payloads.reserve(hi - lo);
-    for (std::uint32_t s = lo; s < hi; ++s) {
-      auto wrapped = wrap_for(parity_, s, acc[s - lo], length_xor[s - lo],
-                              fill[s - lo]);
-      if (!wrapped.is_ok()) return wrapped.status();
-      payloads.push_back(std::move(wrapped).value());
-    }
-    return payloads;
-  };
-
-  if (options.vectored) {
-    // Double-buffered streaming, same shape as rebuild_data_lfs: the batch
-    // that lands window k's parity also reads window k+1's data blocks.
-    struct Source {
-      std::uint32_t lfs;
-      std::uint32_t sub_hi;
-    };
-    auto issue_window_reads = [&](sim::AsyncBatch& batch, std::uint32_t lo) {
-      std::uint32_t hi = std::min(stripes, lo + options.window_blocks);
-      std::vector<Source> sources;
-      for (std::uint32_t o = 0; o < width; ++o) {
-        std::uint32_t sub_hi = std::min(offset_count(size_, width, o), hi);
-        if (lo >= sub_hi) continue;
-        std::uint32_t lfs = (data_.start_lfs + o) % total;
-        sources.push_back({lfs, sub_hi});
-        issue_read_many(batch, *lfs_[lfs], data_.lfs_file_id,
-                        local_range(lo, sub_hi));
-      }
-      return sources;
-    };
-
-    auto batch = std::make_unique<sim::AsyncBatch>(*rpc_);
-    issue_reset(*batch, *lfs_[parity_lfs_index()], parity_.lfs_file_id);
-    std::vector<Source> sources = issue_window_reads(*batch, 0);
-    bool reset_pending = true;
-    bool write_pending = false, write_vectored = false;
-    std::uint32_t pending_lo = 0, pending_hi = 0;
-
-    for (std::uint32_t lo = 0; lo < stripes; lo += options.window_blocks) {
-      sim::ScopedSpan window_span(*ctx_, "rebuild.window");
-      std::uint32_t hi = std::min(stripes, lo + options.window_blocks);
-      auto replies = batch->wait_all();
-      std::size_t b = 0;
-      if (reset_pending) {
-        if (auto st = take_reset(std::move(replies[b++]),
-                                 *lfs_[parity_lfs_index()],
-                                 parity_.lfs_file_id);
-            !st.is_ok()) {
-          return st;
-        }
-        reset_pending = false;
-      }
-      if (write_pending) {
-        auto st = take_write(std::move(replies[b++]),
-                             *lfs_[parity_lfs_index()], parity_.lfs_file_id,
-                             write_vectored);
-        if (!st.is_ok()) {
-          rollback_truncate(*lfs_[parity_lfs_index()], parity_.lfs_file_id,
-                            pending_lo, "ParityFile::rebuild_parity_lfs");
-          return st;
-        }
-        report.blocks_rebuilt += pending_hi - pending_lo;
-        ++report.windows;
-        write_pending = false;
-      }
-
-      reset_window(lo, hi);
-      for (std::size_t i = 0; i < sources.size(); ++i) {
-        auto run = take_read_many(std::move(replies[b + i]),
-                                  *lfs_[sources[i].lfs], data_.lfs_file_id);
-        if (!run.is_ok()) return run.status();
-        for (std::uint32_t s = lo; s < sources[i].sub_hi; ++s) {
-          if (auto st = fold(s, run.value()[s - lo]); !st.is_ok()) return st;
-        }
-      }
-      auto payloads = wrap_window(lo, hi);
-      if (!payloads.is_ok()) return payloads.status();
-
-      batch = std::make_unique<sim::AsyncBatch>(*rpc_);
-      write_vectored = payloads.value().size() > 1;
-      issue_write_run(*batch, *lfs_[parity_lfs_index()], parity_.lfs_file_id,
-                      local_range(lo, hi), std::move(payloads).value());
-      write_pending = true;
-      pending_lo = lo;
-      pending_hi = hi;
-      if (hi < stripes) sources = issue_window_reads(*batch, hi);
-    }
-
-    // Drain the final window's write.
-    auto replies = batch->wait_all();
-    auto st = take_write(std::move(replies[0]), *lfs_[parity_lfs_index()],
-                         parity_.lfs_file_id, write_vectored);
-    if (!st.is_ok()) {
-      rollback_truncate(*lfs_[parity_lfs_index()], parity_.lfs_file_id,
-                        pending_lo, "ParityFile::rebuild_parity_lfs");
-      return st;
-    }
-    report.blocks_rebuilt += pending_hi - pending_lo;
-    ++report.windows;
-    return report;
-  }
-
-  // Reference path: one RPC per surviving block, strictly sequential.
-  for (std::uint32_t lo = 0; lo < stripes; lo += options.window_blocks) {
-    sim::ScopedSpan window_span(*ctx_, "rebuild.window");
-    std::uint32_t hi = std::min(stripes, lo + options.window_blocks);
-    reset_window(lo, hi);
-    for (std::uint32_t s = lo; s < hi; ++s) {
-      for (std::uint32_t o = 0; o < width; ++o) {
-        if (s >= offset_count(size_, width, o)) continue;
-        auto raw = lfs_[(data_.start_lfs + o) % total]->read(
-            data_.lfs_file_id, s);
-        if (!raw.is_ok()) return raw.status();
-        if (auto st = fold(s, raw.value().data); !st.is_ok()) return st;
-      }
-    }
-
-    auto payloads = wrap_window(lo, hi);
-    if (!payloads.is_ok()) return payloads.status();
-    util::Status write_status = util::ok_status();
-    for (std::uint32_t s = lo; s < hi && write_status.is_ok(); ++s) {
-      write_status = lfs_[parity_lfs_index()]
-                         ->write(parity_.lfs_file_id, s,
-                                 payloads.value()[s - lo])
-                         .status();
-    }
-    if (!write_status.is_ok()) {
-      rollback_truncate(*lfs_[parity_lfs_index()], parity_.lfs_file_id, lo,
-                        "ParityFile::rebuild_parity_lfs");
-      return write_status;
-    }
-    report.blocks_rebuilt += hi - lo;
-    ++report.windows;
-  }
-  return report;
+  return run_rebuild(*ctx_, *rpc_, data, {target}, options.window_blocks,
+                     "ParityFile::rebuild_lfs", reconstruct);
 }
 
 }  // namespace bridge::core

@@ -28,8 +28,10 @@
 // The recovery engine (`rebuild_lfs`) re-creates every block a failed LFS
 // held by streaming windows of surviving blocks/parity from the other LFSs
 // (kReadMany fan-out per window) and writing the reconstructed runs to the
-// repaired or spare LFS mounted at the same index (kWriteMany).  A
-// single-block reference mode exists for the recovery ablation bench.
+// repaired or spare LFS mounted at the same index (kWriteMany).  Mirror,
+// parity-data and parity recovery are three plans for one windowed loop:
+// the constituents to read, the constituents to re-create, and the
+// function that turns one window of the former into the latter.
 #pragma once
 
 #include <cstdint>
@@ -44,14 +46,10 @@ namespace bridge::core {
 
 /// How `rebuild_lfs` streams the surviving data.
 struct RebuildOptions {
-  /// Local blocks (stripes) reconstructed per streaming round.  32 blocks
-  /// is a full flight of 8 tracks — deep enough that each window's
-  /// track-coalesced write overlaps the next window's reads.
+  /// Local blocks (stripes) reconstructed per streaming round; 0 counts as
+  /// 1.  32 blocks is a full flight of 8 tracks — deep enough that each
+  /// window's track-coalesced write overlaps the next window's reads.
   std::uint32_t window_blocks = 32;
-  /// true: kReadMany/kWriteMany windows with all source LFSs in flight at
-  /// once.  false: the pre-pipeline reference path — one kRead/kWrite RPC
-  /// per block, strictly sequential (kept for the ablation bench).
-  bool vectored = true;
 };
 
 struct RebuildReport {
@@ -94,7 +92,8 @@ class MirroredFile {
   /// primary blocks from their mirrors, its mirror blocks from their
   /// primaries) by streaming windows from the partner LFSs.  The disk at
   /// `failed_idx` must be back in service (repaired or a spare); whatever
-  /// survives of the old constituents is discarded first.
+  /// survives of the old constituents is discarded first.  On failure both
+  /// constituents stop at a window boundary and a retry starts over.
   util::Result<RebuildReport> rebuild_lfs(std::uint32_t failed_idx,
                                           RebuildOptions options = {});
 
@@ -150,7 +149,9 @@ class ParityFile {
   /// a data LFS, windows of the surviving data constituents and the parity
   /// constituent stream in concurrently and the lost blocks are re-derived
   /// by XOR; for the parity LFS, the parity blocks are recomputed from the
-  /// data constituents.  The disk at `failed_idx` must be back in service.
+  /// data constituents.  The disk at `failed_idx` must be back in service;
+  /// on failure the constituent stops at a window boundary and a retry
+  /// starts over.
   util::Result<RebuildReport> rebuild_lfs(std::uint32_t failed_idx,
                                           RebuildOptions options = {});
 
@@ -172,10 +173,6 @@ class ParityFile {
   /// answer, the exact size is recovered from the last parity block's fill
   /// count instead.
   util::Status derive_size();
-
-  util::Result<RebuildReport> rebuild_data_lfs(std::uint32_t failed_idx,
-                                               const RebuildOptions& options);
-  util::Result<RebuildReport> rebuild_parity_lfs(const RebuildOptions& options);
 
   sim::Context* ctx_;
   tools::ToolEnv env_;

@@ -462,12 +462,12 @@ TEST(ParityFile, RebuildParityLfsRestoresProtection) {
   inst.run();
 }
 
-TEST(ParityFile, VectoredAndPerBlockRebuildProduceIdenticalDisks) {
+TEST(ParityFile, Window1AndWindow32RebuildProduceIdenticalDisks) {
   // Two bit-deterministic instances take the same writes and the same
-  // failure; one rebuilds through the vectored pipeline, the other through
-  // the per-block reference path.  The resulting machines must be
-  // indistinguishable on disk.
-  auto build = [](bool vectored) {
+  // failure; one rebuilds a block per batch, the other the whole
+  // constituent in one window.  Allocation must not depend on the batch
+  // shape: the resulting machines must be indistinguishable on disk.
+  auto build = [](std::uint32_t window) {
     auto inst = std::make_unique<BridgeInstance>(cfg(5));
     inst->run_client("writer", [&](sim::Context& ctx, BridgeClient& client) {
       auto file = ParityFile::open(ctx, client, "pfile");
@@ -485,15 +485,15 @@ TEST(ParityFile, VectoredAndPerBlockRebuildProduceIdenticalDisks) {
     inst->run();
     inst->lfs(2).disk().fail();
     inst->lfs(2).disk().repair();
-    inst->run_client("rebuilder", [&, vectored](sim::Context& ctx,
-                                                BridgeClient& client) {
+    inst->run_client("rebuilder", [&, window](sim::Context& ctx,
+                                              BridgeClient& client) {
       auto file = ParityFile::open(ctx, client, "pfile");
       ASSERT_TRUE(file.is_ok());
       RebuildOptions options;
-      options.vectored = vectored;
-      options.window_blocks = 3;
+      options.window_blocks = window;
       auto report = file.value().rebuild_lfs(2, options);
       ASSERT_TRUE(report.is_ok()) << report.status().to_string();
+      EXPECT_EQ(report.value().windows, window == 1 ? 5u : 1u);
       // Flush every LFS cache so the disk images are comparable.
       auto env = tools::discover(client);
       ASSERT_TRUE(env.is_ok());
@@ -504,8 +504,8 @@ TEST(ParityFile, VectoredAndPerBlockRebuildProduceIdenticalDisks) {
     return inst;
   };
 
-  auto a = build(/*vectored=*/true);
-  auto b = build(/*vectored=*/false);
+  auto a = build(1);
+  auto b = build(32);
   for (std::uint32_t i = 0; i < a->num_lfs(); ++i) {
     auto capacity = a->lfs(i).disk().geometry().capacity_blocks();
     std::uint32_t mismatches = 0;
@@ -520,6 +520,262 @@ TEST(ParityFile, VectoredAndPerBlockRebuildProduceIdenticalDisks) {
     EXPECT_EQ(mismatches, 0u) << "lfs " << i;
   }
   EXPECT_TRUE(a->verify_all_lfs().is_ok());
+}
+
+// --- Rebuild against a ground-truth oracle ----------------------------------
+//
+// The oracle is the victim LFS's own constituent blocks, read raw (still
+// wrapped) through the EFS before the failure.  A rebuild is correct when it
+// puts back exactly those bytes.
+
+enum class RebuildKind { kMirror, kParityData, kParity };
+
+struct RebuildSetup {
+  const char* label;
+  std::uint32_t p;
+  std::uint32_t victim;
+  std::uint32_t stripe;              ///< blocks per stripe of the file
+  std::vector<std::string> targets;  ///< Bridge files the victim holds part of
+};
+
+RebuildSetup setup_for(RebuildKind kind) {
+  switch (kind) {
+    case RebuildKind::kMirror:
+      return {"mirror", 4, 2, 4, {"f", "f!mirror"}};
+    case RebuildKind::kParityData:
+      return {"parity-data", 5, 1, 4, {"f"}};
+    case RebuildKind::kParity:
+      return {"parity", 5, 4, 4, {"f!parity"}};
+  }
+  return {};
+}
+
+/// Block `i` of a `blocks`-block test file: full-size, except that every
+/// block of a short final stripe is short, each with its own length.
+std::vector<std::byte> oracle_block(std::uint64_t i, std::uint64_t blocks,
+                                    std::uint32_t stripe) {
+  auto tag = static_cast<std::uint32_t>(i);
+  if (i < blocks / stripe * stripe) return record(tag);
+  return short_record(tag, 1 + (i * 137) % (efs::kUserDataBytes - 1));
+}
+
+/// A fresh machine holding `blocks` blocks in file "f" (mirrored for
+/// kMirror, parity-protected otherwise).
+std::unique_ptr<BridgeInstance> oracle_machine(RebuildKind kind,
+                                               std::uint64_t blocks) {
+  auto setup = setup_for(kind);
+  auto inst = std::make_unique<BridgeInstance>(cfg(setup.p));
+  inst->run_client("writer", [&](sim::Context& ctx, BridgeClient& client) {
+    if (kind == RebuildKind::kMirror) {
+      auto file = MirroredFile::open(ctx, client, "f");
+      ASSERT_TRUE(file.is_ok());
+      std::vector<std::vector<std::byte>> run;
+      for (std::uint64_t i = 0; i < blocks; ++i) {
+        run.push_back(oracle_block(i, blocks, setup.stripe));
+      }
+      ASSERT_TRUE(file.value().append_many(run).is_ok());
+      return;
+    }
+    auto file = ParityFile::open(ctx, client, "f");
+    ASSERT_TRUE(file.is_ok());
+    for (std::uint64_t first = 0; first < blocks; first += setup.stripe) {
+      std::vector<std::vector<std::byte>> stripe;
+      for (std::uint64_t i = first; i < std::min(blocks, first + setup.stripe);
+           ++i) {
+        stripe.push_back(oracle_block(i, blocks, setup.stripe));
+      }
+      ASSERT_TRUE(file.value().append_stripe(stripe).is_ok());
+    }
+  });
+  inst->run();
+  return inst;
+}
+
+/// Raw wrapped blocks of each of `names`' constituents on LFS `lfs`.
+using ConstituentImage = std::vector<std::vector<std::vector<std::byte>>>;
+
+ConstituentImage constituents_of(BridgeClient& client, std::uint32_t lfs,
+                                 const std::vector<std::string>& names) {
+  ConstituentImage image;
+  auto env = tools::discover(client);
+  EXPECT_TRUE(env.is_ok());
+  if (!env.is_ok()) return image;
+  auto lfs_clients = env.value().make_lfs_clients(client.rpc());
+  for (const auto& name : names) {
+    auto open = client.open(name);
+    EXPECT_TRUE(open.is_ok()) << name;
+    if (!open.is_ok()) return image;
+    auto id = open.value().meta.lfs_file_id;
+    auto info = lfs_clients[lfs]->info(id);
+    EXPECT_TRUE(info.is_ok()) << name;
+    if (!info.is_ok()) return image;
+    auto& blocks = image.emplace_back();
+    for (std::uint32_t l = 0; l < info.value().size_blocks; ++l) {
+      auto read = lfs_clients[lfs]->read(id, l);
+      EXPECT_TRUE(read.is_ok()) << name << " local " << l;
+      if (!read.is_ok()) return image;
+      blocks.push_back(read.value().data);
+    }
+  }
+  return image;
+}
+
+ConstituentImage read_constituents(BridgeInstance& inst, std::uint32_t lfs,
+                                   const std::vector<std::string>& names) {
+  ConstituentImage image;
+  inst.run_client("oracle", [&](sim::Context&, BridgeClient& client) {
+    image = constituents_of(client, lfs, names);
+  });
+  inst.run();
+  return image;
+}
+
+/// Open test file "f" as `kind`'s file type and hand it to `fn`.
+template <typename Fn>
+void with_file(RebuildKind kind, sim::Context& ctx, BridgeClient& client,
+               Fn&& fn) {
+  if (kind == RebuildKind::kMirror) {
+    auto file = MirroredFile::open(ctx, client, "f");
+    ASSERT_TRUE(file.is_ok());
+    fn(file.value());
+  } else {
+    auto file = ParityFile::open(ctx, client, "f");
+    ASSERT_TRUE(file.is_ok());
+    fn(file.value());
+  }
+}
+
+/// Run `kind`'s rebuild of the victim LFS from a client; returns its result.
+util::Result<RebuildReport> rebuild(BridgeInstance& inst, RebuildKind kind,
+                                    std::uint32_t window) {
+  util::Result<RebuildReport> result = util::internal_error("not run");
+  inst.run_client("rebuilder", [&](sim::Context& ctx, BridgeClient& client) {
+    RebuildOptions options;
+    options.window_blocks = window;
+    with_file(kind, ctx, client, [&](auto& file) {
+      result = file.rebuild_lfs(setup_for(kind).victim, options);
+    });
+  });
+  inst.run();
+  return result;
+}
+
+std::uint64_t total_blocks(const ConstituentImage& image) {
+  std::uint64_t n = 0;
+  for (const auto& constituent : image) n += constituent.size();
+  return n;
+}
+
+void expect_rebuild_matches_oracle(RebuildKind kind) {
+  auto setup = setup_for(kind);
+  // Empty; fewer blocks than one stripe; several stripes plus a short final
+  // stripe of short blocks.
+  for (std::uint64_t blocks : {0u, 2u, 7 * setup.stripe + 3}) {
+    for (std::uint32_t window : {1u, 3u, 32u}) {
+      SCOPED_TRACE(std::string(setup.label) + ": " + std::to_string(blocks) +
+                   " blocks, window " + std::to_string(window));
+      auto inst = oracle_machine(kind, blocks);
+      auto oracle = read_constituents(*inst, setup.victim, setup.targets);
+      ASSERT_EQ(oracle.size(), setup.targets.size());
+      inst->lfs(setup.victim).disk().fail();
+      inst->lfs(setup.victim).disk().repair();
+
+      auto report = rebuild(*inst, kind, window);
+      ASSERT_TRUE(report.is_ok()) << report.status().to_string();
+      std::uint64_t expected = total_blocks(oracle);
+      EXPECT_EQ(report.value().blocks_rebuilt, expected);
+      std::uint64_t longest = 0;
+      for (const auto& constituent : oracle) {
+        longest = std::max<std::uint64_t>(longest, constituent.size());
+      }
+      EXPECT_EQ(report.value().windows, (longest + window - 1) / window);
+      EXPECT_EQ(read_constituents(*inst, setup.victim, setup.targets), oracle);
+      EXPECT_TRUE(inst->verify_all_lfs().is_ok());
+    }
+  }
+}
+
+TEST(RebuildOracle, MirrorRebuildRestoresExactBlocks) {
+  expect_rebuild_matches_oracle(RebuildKind::kMirror);
+}
+
+TEST(RebuildOracle, ParityDataRebuildRestoresExactBlocks) {
+  expect_rebuild_matches_oracle(RebuildKind::kParityData);
+}
+
+TEST(RebuildOracle, ParityRebuildRestoresExactBlocks) {
+  expect_rebuild_matches_oracle(RebuildKind::kParity);
+}
+
+TEST(RebuildOracle, SourceFailureMidRebuildStopsAtWindowBoundary) {
+  // LFS 0 is a source of every plan: both mirror partners of LFS 2 at p=4,
+  // a surviving sibling of LFS 1, and a data constituent for the parity.
+  const std::uint32_t source = 0;
+  const std::uint32_t window = 3;
+  for (auto kind : {RebuildKind::kMirror, RebuildKind::kParityData,
+                    RebuildKind::kParity}) {
+    auto setup = setup_for(kind);
+    SCOPED_TRACE(setup.label);
+    const std::uint64_t blocks = 15 * setup.stripe + 2;
+
+    // An undisturbed run on an identical machine times the rebuild; the
+    // interrupted run fails the source halfway through it.
+    auto reference = oracle_machine(kind, blocks);
+    auto oracle = read_constituents(*reference, setup.victim, setup.targets);
+    reference->lfs(setup.victim).disk().fail();
+    reference->lfs(setup.victim).disk().repair();
+    sim::SimTime start = reference->runtime().scheduler().now();
+    ASSERT_TRUE(rebuild(*reference, kind, window).is_ok());
+    sim::SimTime fail_at =
+        start + sim::usec((reference->runtime().scheduler().now() - start)
+                              .us() / 2);
+
+    auto inst = oracle_machine(kind, blocks);
+    ASSERT_EQ(read_constituents(*inst, setup.victim, setup.targets), oracle);
+    inst->lfs(setup.victim).disk().fail();
+    inst->lfs(setup.victim).disk().repair();
+    inst->run_client("saboteur", [&](sim::Context& ctx, BridgeClient&) {
+      ctx.sleep(fail_at - ctx.now());
+      inst->lfs(source).disk().fail();
+    });
+    // The retry goes through the same open file: a reopen would re-derive
+    // the size from the victim's half-rebuilt constituents.
+    util::Result<RebuildReport> interrupted = util::internal_error("not run");
+    util::Result<RebuildReport> retry = util::internal_error("not run");
+    ConstituentImage partial;
+    inst->run_client("rebuilder", [&](sim::Context& ctx, BridgeClient& client) {
+      RebuildOptions options;
+      options.window_blocks = window;
+      with_file(kind, ctx, client, [&](auto& file) {
+        interrupted = file.rebuild_lfs(setup.victim, options);
+        partial = constituents_of(client, setup.victim, setup.targets);
+        inst->lfs(source).disk().repair();
+        retry = file.rebuild_lfs(setup.victim, options);
+      });
+    });
+    inst->run();
+    EXPECT_EQ(interrupted.status().code(), util::ErrorCode::kUnavailable);
+
+    // Every target stopped at a window boundary, part-way through.
+    ASSERT_EQ(partial.size(), oracle.size());
+    for (std::size_t t = 0; t < oracle.size(); ++t) {
+      std::size_t done = partial[t].size();
+      EXPECT_TRUE(done % window == 0 || done == oracle[t].size())
+          << "constituent " << t << " holds " << done << " blocks";
+      ASSERT_LE(done, oracle[t].size());
+      for (std::size_t l = 0; l < done; ++l) {
+        EXPECT_EQ(partial[t][l], oracle[t][l]) << "constituent " << t;
+      }
+    }
+    EXPECT_GT(total_blocks(partial), 0u);
+    EXPECT_LT(total_blocks(partial), total_blocks(oracle));
+
+    // Once the source is back, the retry rebuilds everything.
+    ASSERT_TRUE(retry.is_ok()) << retry.status().to_string();
+    EXPECT_EQ(retry.value().blocks_rebuilt, total_blocks(oracle));
+    EXPECT_EQ(read_constituents(*inst, setup.victim, setup.targets), oracle);
+    EXPECT_TRUE(inst->verify_all_lfs().is_ok());
+  }
 }
 
 TEST(DeleteMany, RemovesBatchAndOverlapsWork) {

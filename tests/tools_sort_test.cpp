@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <map>
+#include <type_traits>
 
 #include "src/core/instance.hpp"
 #include "src/tools/sort/sort_tool.hpp"
@@ -81,13 +82,19 @@ std::vector<std::uint64_t> random_keys(std::size_t n, std::uint64_t seed) {
   return keys;
 }
 
+// gtest prints a SortCase as its raw bytes, and ctest names each case after
+// that print. `hints` is a full word rather than a bool so the struct has no
+// padding: uninitialised padding bytes would give the cases a different name
+// on every test discovery.
 struct SortCase {
   std::uint32_t p;
   std::uint32_t records;
   std::uint32_t in_core;
-  bool hints;
+  std::uint32_t hints;  // 0 or 1
   std::uint32_t fanin = 2;
 };
+static_assert(std::has_unique_object_representations_v<SortCase>,
+              "SortCase must have no padding bytes");
 
 class SortProperty : public ::testing::TestWithParam<SortCase> {};
 
@@ -101,7 +108,7 @@ TEST_P(SortProperty, SortsToPermutation) {
   inst.run_client("sorter", [&](sim::Context& ctx, BridgeClient& client) {
     SortOptions options;
     options.tuning.in_core_records = param.in_core;
-    options.tuning.hints_in_local_merge = param.hints;
+    options.tuning.hints_in_local_merge = param.hints != 0;
     options.tuning.local_merge_fanin = param.fanin;
     auto result = run_sort_tool(ctx, client, "input", "sorted", options);
     ASSERT_TRUE(result.is_ok()) << result.status().to_string();
