@@ -306,6 +306,7 @@ int main(int argc, char** argv) {
   std::printf("---------+--------------------+--------------------+"
               "--------------------+----------\n");
   for (std::uint32_t clients : {1u, 2u, 4u, 8u}) {
+    json.begin_row();
     double naive = naive_aggregate_rec_per_sec(p, clients, records);
     double piped = pipelined_aggregate_rec_per_sec(p, clients, records);
     double tool = tool_aggregate_rec_per_sec(p, clients, records);
@@ -324,6 +325,7 @@ int main(int argc, char** argv) {
   std::printf("%8s | %18s\n", "servers", "naive aggregate");
   std::printf("---------+-------------------\n");
   for (std::uint32_t servers : {1u, 2u, 4u}) {
+    json.begin_row();
     double rate = routed_aggregate_rec_per_sec(p, servers, 8, records);
     std::printf("%8u | %12.0f rec/s\n", servers, rate);
     json.emit("ablation_server_bottleneck_routed",
@@ -339,15 +341,18 @@ int main(int argc, char** argv) {
               "mixed namespace");
   std::printf("---------+--------------------+-------------------\n");
   for (std::uint32_t servers : {1u, 2u, 4u}) {
+    // Two rows per iteration: each opens its own cost window.
+    json.begin_row();
     double write_heavy = routed_write_heavy_files_per_sec(p, servers, 8, 6, 4);
-    double mixed = routed_mixed_ops_per_sec(p, servers, 8, 6);
-    std::printf("%8u | %11.1f file/s | %12.1f op/s\n", servers, write_heavy,
-                mixed);
     json.emit("ablation_server_bottleneck_routed_write",
               {{"p", p},
                {"servers", servers},
                {"clients", 8},
                {"files_per_sec", write_heavy}});
+    json.begin_row();
+    double mixed = routed_mixed_ops_per_sec(p, servers, 8, 6);
+    std::printf("%8u | %11.1f file/s | %12.1f op/s\n", servers, write_heavy,
+                mixed);
     json.emit("ablation_server_bottleneck_routed_mixed",
               {{"p", p},
                {"servers", servers},

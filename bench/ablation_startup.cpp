@@ -4,8 +4,13 @@
 // messages through an embedded binary tree" (Create), and the copy tool's
 // O(n/p + log p) depends on tree fan-out of its workers.
 //
-// Two experiments: Create latency vs p for both dispatch modes, and copy-
-// tool time on a SMALL file (where startup dominates) for both fan-outs.
+// Two experiments: Create latency vs p for both dispatch modes (plus a
+// width-1 file, which only needs a constituent on one LFS), and copy-tool
+// time on a SMALL file (where startup dominates) for both fan-outs.
+//
+// Exits 1 if width-1 Create latency depends on p, or if full-width
+// sequential Create at p = 64 is not the Table 2 value of 1225.3 ms.
+#include <cmath>
 #include <cstdio>
 
 #include "bench/bench_util.hpp"
@@ -14,14 +19,17 @@
 namespace bridge::bench {
 namespace {
 
-double create_latency(std::uint32_t p, bool tree) {
+/// Latency of one Create; `width` 0 means full width.
+double create_latency(std::uint32_t p, bool tree, std::uint32_t width = 0) {
   auto cfg = core::SystemConfig::paper_profile(p, 128);
   cfg.bridge.tree_create = tree;
   core::BridgeInstance inst(cfg);
   double ms = 0;
   inst.run_client("bench", [&](sim::Context& ctx, core::BridgeClient& client) {
+    core::CreateOptions options;
+    options.width = width;
     auto start = ctx.now();
-    if (!client.create("f").is_ok()) return;
+    if (!client.create("f", options).is_ok()) return;
     ms = (ctx.now() - start).ms();
   });
   inst.run();
@@ -54,14 +62,30 @@ int main(int argc, char** argv) {
   print_header("Ablation A4: sequential vs binary-tree startup");
   std::printf("\nCreate latency (paper: 145 + 17.5p ms with sequential "
               "initiation):\n");
-  std::printf("%4s | %14s | %14s | %8s\n", "p", "sequential", "tree",
-              "saving");
-  std::printf("-----+----------------+----------------+---------\n");
+  std::printf("%4s | %14s | %14s | %8s | %14s\n", "p", "sequential", "tree",
+              "saving", "width-1");
+  std::printf("-----+----------------+----------------+----------+"
+              "---------------\n");
+  bool ok = true;
+  double narrow_p2 = 0;
   for (std::uint32_t p : {2u, 4u, 8u, 16u, 32u, 64u}) {
     double seq = create_latency(p, false);
     double tree = create_latency(p, true);
-    std::printf("%4u | %11.1f ms | %11.1f ms | %6.2fx\n", p, seq, tree,
-                seq / tree);
+    double narrow = create_latency(p, false, 1);
+    std::printf("%4u | %11.1f ms | %11.1f ms | %7.2fx | %11.1f ms\n", p, seq,
+                tree, seq / tree, narrow);
+    if (p == 2) narrow_p2 = narrow;
+    if (narrow != narrow_p2) {
+      std::printf("FAIL: width-1 Create at p=%u is %.1f ms, at p=2 %.1f ms\n",
+                  p, narrow, narrow_p2);
+      ok = false;
+    }
+    if (p == 64 && std::fabs(seq - 1225.3) > 0.05) {
+      std::printf("FAIL: full-width sequential Create at p=64 is %.1f ms, "
+                  "Table 2 has 1225.3 ms\n",
+                  seq);
+      ok = false;
+    }
   }
 
   std::printf("\ncopy tool on a small (%llu-block) file, where startup "
@@ -79,7 +103,8 @@ int main(int argc, char** argv) {
   std::printf(
       "\nshape checks: sequential Create grows ~linearly in p while the tree\n"
       "variant grows ~logarithmically; the gap widens with p (the section 4.5\n"
-      "suggestion).  Tool fan-out shows the same effect when per-node work is\n"
-      "small.\n");
-  return 0;
+      "suggestion).  A width-1 file creates one constituent, so its Create\n"
+      "costs the same at every p.  Tool fan-out shows the same effect when\n"
+      "per-node work is small.\n");
+  return ok ? 0 : 1;
 }

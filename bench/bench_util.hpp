@@ -104,6 +104,14 @@ class JsonReporter {
 
   [[nodiscard]] bool active() const noexcept { return !path_.empty(); }
 
+  /// Start the next row's cost window here.  A bench that measures several
+  /// configurations before emitting calls this right before each row's own
+  /// work, so that row's "wall_ms"/"events_executed" cover that work only.
+  void begin_row() {
+    row_wall_start_ = WallClock::now();
+    row_events_start_ = sim::Scheduler::lifetime_events_dispatched();
+  }
+
   /// Emit {"bench":<name>, k1:v1, ...}.  Values are numeric; non-finite
   /// values (a bench shape with no valid measurement) are written as null.
   /// `metrics_json`, when non-empty, must be a complete JSON object (from
@@ -112,11 +120,12 @@ class JsonReporter {
   /// ObsOptions::timeseries_json) appended as "timeseries".
   ///
   /// Every row also carries two harness-cost fields, measured since the
-  /// previous emit (or construction): "wall_ms", the host wall-clock time
-  /// spent producing this row, and "events_executed", scheduler events
-  /// dispatched in that window (Scheduler::lifetime_events_dispatched
-  /// deltas).  These track simulator overhead — they are the only
-  /// nondeterministic fields in BENCH_results.json.
+  /// last begin_row() or emit (or construction): "wall_ms", the host
+  /// wall-clock time spent producing this row, and "events_executed",
+  /// scheduler events dispatched in that window
+  /// (Scheduler::lifetime_events_dispatched deltas).  These track simulator
+  /// overhead — they are the only nondeterministic fields in
+  /// BENCH_results.json.
   void emit(const std::string& bench,
             std::initializer_list<std::pair<const char*, double>> fields,
             const std::string& metrics_json = "",
@@ -127,14 +136,12 @@ class JsonReporter {
       std::fprintf(stderr, "JsonReporter: cannot open %s\n", path_.c_str());
       return;
     }
-    WallClock::time_point wall_now = WallClock::now();
-    std::uint64_t events_now = sim::Scheduler::lifetime_events_dispatched();
-    double wall_ms =
-        std::chrono::duration<double, std::milli>(wall_now - row_wall_start_)
-            .count();
-    std::uint64_t events = events_now - row_events_start_;
-    row_wall_start_ = wall_now;
-    row_events_start_ = events_now;
+    double wall_ms = std::chrono::duration<double, std::milli>(
+                         WallClock::now() - row_wall_start_)
+                         .count();
+    std::uint64_t events =
+        sim::Scheduler::lifetime_events_dispatched() - row_events_start_;
+    begin_row();
     std::fprintf(f, "{\"bench\":\"%s\"", bench.c_str());
     for (const auto& [key, value] : fields) {
       if (std::isfinite(value)) {

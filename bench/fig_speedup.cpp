@@ -7,7 +7,10 @@
 // records/sec at p=32; ~35 sort records/sec).  Run with --records=10240 to
 // regenerate at full scale; the default is smaller so this figure bench
 // stays quick next to the table benches.
+#include <algorithm>
 #include <cstdio>
+#include <utility>
+#include <vector>
 
 #include "bench/bench_util.hpp"
 #include "src/core/analysis.hpp"
@@ -55,6 +58,29 @@ double run_sort(std::uint32_t p, std::uint64_t records, std::uint32_t c,
   return elapsed.sec();
 }
 
+using SpeedupRows = std::vector<std::pair<std::uint32_t, double>>;
+
+/// The closing verdict for one tool, computed from its measured
+/// (p, speedup) rows: the knee (the p with the best speedup), that speedup,
+/// and the speedup at the largest p measured.
+void print_verdict(const char* tool, const SpeedupRows& rows) {
+  if (rows.empty()) return;
+  auto best = *std::max_element(
+      rows.begin(), rows.end(),
+      [](const auto& a, const auto& b) { return a.second < b.second; });
+  auto last = rows.back();
+  if (best.first == last.first) {
+    std::printf("%s: speedup still rising at max p = %u (%.2fx); no knee in "
+                "range\n",
+                tool, last.first, last.second);
+    return;
+  }
+  std::printf("%s: knee at p = %u (best speedup %.2fx); %.2fx at max p = %u, "
+              "%s after the knee\n",
+              tool, best.first, best.second, last.second, last.first,
+              last.second < 0.9 * best.second ? "falling" : "flat");
+}
+
 }  // namespace
 }  // namespace bridge::bench
 
@@ -79,6 +105,7 @@ int main(int argc, char** argv) {
               "speedup", "(model)");
   std::printf("-----+------------+------------+----------------------\n");
   double copy_base = 0, copy_model_base = 0;
+  SpeedupRows copy_rows;
   for (std::uint32_t p : {2u, 4u, 8u, 16u, 32u, 64u}) {
     if (p > max_p) break;
     std::string metrics;
@@ -90,6 +117,7 @@ int main(int argc, char** argv) {
     }
     std::printf("%4u | %8.1f s | %10.0f | %9.2fx %9.2fx\n", p, sec,
                 records / sec, copy_base / sec, copy_model_base / model_sec);
+    copy_rows.emplace_back(p, copy_base / sec);
     std::fflush(stdout);
     json.emit("fig_speedup_copy",
               {{"p", p},
@@ -110,6 +138,7 @@ int main(int argc, char** argv) {
               "speedup", "(model)");
   std::printf("-----+------------+------------+----------------------\n");
   double sort_base = 0, sort_model_base = 0;
+  SpeedupRows sort_rows;
   for (std::uint32_t p : {2u, 4u, 8u, 16u, 32u, 64u}) {
     if (p > max_p) break;
     std::string metrics;
@@ -127,6 +156,7 @@ int main(int argc, char** argv) {
     }
     std::printf("%4u | %8.1f s | %10.1f | %9.2fx %9.2fx\n", p, sec,
                 records / sec, sort_base / sec, sort_model_base / model_sec);
+    sort_rows.emplace_back(p, sort_base / sec);
     std::fflush(stdout);
     json.emit("fig_speedup_sort",
               {{"p", p},
@@ -136,10 +166,11 @@ int main(int argc, char** argv) {
                {"model_speedup", sort_model_base / model_sec}},
               metrics, trace.timeseries_json());
   }
+  std::printf("\nshape checks, from the rows above:\n");
+  print_verdict("copy", copy_rows);
+  print_verdict("sort", sort_rows);
   std::printf(
-      "\nshape checks: copy speedup near-linear; sort speedup rises to a\n"
-      "knee then flattens as the token-circulation floor dominates.  The\n"
-      "1988 prototype's super-linear sort curve is gone since layout v2\n"
+      "The 1988 prototype's super-linear sort curve is absent: layout v2\n"
       "removed the chain walk behind it (section 5.2's cure; ablation A9\n"
       "shows the anomaly and its disappearance side by side).\n");
   return 0;

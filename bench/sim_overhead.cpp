@@ -78,7 +78,10 @@ void bench_backend(const char* backend, std::uint64_t spawn_n,
   const bool fibers = std::string(backend) == "fibers";
   Row row;
 
+  // Each scenario is its own row: begin_row() opens the row's harness-cost
+  // window and the emit right after the scenario closes it.
   {  // -- spawn ----------------------------------------------------------
+    json.begin_row();
     WallClock::time_point start = WallClock::now();
     {
       sim::Scheduler sched;
@@ -89,8 +92,15 @@ void bench_backend(const char* backend, std::uint64_t spawn_n,
     }
     row.spawn_run_ms = ms_since(start);
   }
+  double spawn_us = row.spawn_run_ms * 1e3 / static_cast<double>(spawn_n);
+  json.emit("sim_overhead_spawn",
+            {{"fibers", fibers ? 1.0 : 0.0},
+             {"procs", static_cast<double>(spawn_n)},
+             {"total_ms", row.spawn_run_ms},
+             {"spawn_us_per_proc", spawn_us}});
 
   {  // -- switch ---------------------------------------------------------
+    json.begin_row();
     sim::Scheduler sched;
     for (std::uint64_t i = 0; i < switch_procs; ++i) {
       sched.spawn(0, "spinner" + std::to_string(i), [&sched, switch_sleeps] {
@@ -104,8 +114,20 @@ void bench_backend(const char* backend, std::uint64_t spawn_n,
     row.switch_run_ms = ms_since(start);
     row.switch_events = sched.stats().events_dispatched;
   }
+  double events_per_sec = static_cast<double>(row.switch_events) /
+                          (row.switch_run_ms / 1e3);
+  // Each dispatched event is a controller->process switch and back.
+  double switches_per_sec = 2.0 * events_per_sec;
+  json.emit("sim_overhead_switch",
+            {{"fibers", fibers ? 1.0 : 0.0},
+             {"procs", static_cast<double>(switch_procs)},
+             {"events", static_cast<double>(row.switch_events)},
+             {"run_ms", row.switch_run_ms},
+             {"events_per_sec", events_per_sec},
+             {"switches_per_sec", switches_per_sec}});
 
   {  // -- churn ----------------------------------------------------------
+    json.begin_row();
     sim::Scheduler sched;
     WallClock::time_point start = WallClock::now();
     for (std::uint64_t wave = 0; wave < churn_waves; ++wave) {
@@ -120,15 +142,19 @@ void bench_backend(const char* backend, std::uint64_t spawn_n,
     row.churn_stacks_reused = sched.stats().fiber_stacks_reused;
     row.churn_stack_live_peak = sched.stats().fiber_stack_live_peak;
   }
-
   const std::uint64_t churn_total = churn_waves * churn_wave_size;
-  double spawn_us = row.spawn_run_ms * 1e3 / static_cast<double>(spawn_n);
-  double events_per_sec = static_cast<double>(row.switch_events) /
-                          (row.switch_run_ms / 1e3);
-  // Each dispatched event is a controller->process switch and back.
-  double switches_per_sec = 2.0 * events_per_sec;
   double churn_per_sec =
       static_cast<double>(churn_total) / (row.churn_ms / 1e3);
+  json.emit("sim_overhead_churn",
+            {{"fibers", fibers ? 1.0 : 0.0},
+             {"procs_total", static_cast<double>(churn_total)},
+             {"total_ms", row.churn_ms},
+             {"procs_per_sec", churn_per_sec},
+             {"stacks_allocated",
+              static_cast<double>(row.churn_stacks_allocated)},
+             {"stacks_reused", static_cast<double>(row.churn_stacks_reused)},
+             {"stack_live_peak",
+              static_cast<double>(row.churn_stack_live_peak)}});
 
   std::printf(
       "%-8s | spawn %6llu: %8.1f ms (%6.2f us/proc) | %7llu events: %8.1f ms "
@@ -143,29 +169,6 @@ void bench_backend(const char* backend, std::uint64_t spawn_n,
       static_cast<unsigned long long>(row.churn_stacks_reused),
       static_cast<unsigned long long>(row.churn_stack_live_peak));
   std::fflush(stdout);
-
-  json.emit("sim_overhead_spawn",
-            {{"fibers", fibers ? 1.0 : 0.0},
-             {"procs", static_cast<double>(spawn_n)},
-             {"total_ms", row.spawn_run_ms},
-             {"spawn_us_per_proc", spawn_us}});
-  json.emit("sim_overhead_switch",
-            {{"fibers", fibers ? 1.0 : 0.0},
-             {"procs", static_cast<double>(switch_procs)},
-             {"events", static_cast<double>(row.switch_events)},
-             {"run_ms", row.switch_run_ms},
-             {"events_per_sec", events_per_sec},
-             {"switches_per_sec", switches_per_sec}});
-  json.emit("sim_overhead_churn",
-            {{"fibers", fibers ? 1.0 : 0.0},
-             {"procs_total", static_cast<double>(churn_total)},
-             {"total_ms", row.churn_ms},
-             {"procs_per_sec", churn_per_sec},
-             {"stacks_allocated",
-              static_cast<double>(row.churn_stacks_allocated)},
-             {"stacks_reused", static_cast<double>(row.churn_stacks_reused)},
-             {"stack_live_peak",
-              static_cast<double>(row.churn_stack_live_peak)}});
 }
 
 }  // namespace

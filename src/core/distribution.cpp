@@ -29,6 +29,17 @@ PlacementMap::PlacementMap(Distribution dist, std::uint32_t width,
   }
 }
 
+std::vector<std::uint32_t> PlacementMap::lfs_span() const {
+  std::uint32_t n = dist_ == Distribution::kLinked ? total_lfs_ : width_;
+  std::vector<std::uint32_t> span;
+  span.reserve(n);
+  for (std::uint32_t j = 0; j < n; ++j) {
+    span.push_back((start_lfs_ + j) % total_lfs_);
+  }
+  std::sort(span.begin(), span.end());
+  return span;
+}
+
 util::Result<Placement> PlacementMap::place(std::uint64_t n) const {
   if (n >= size_) return util::invalid_argument("block beyond EOF");
   switch (dist_) {

@@ -46,6 +46,12 @@ class PlacementMap {
   }
   [[nodiscard]] std::uint64_t size_blocks() const noexcept { return size_; }
 
+  /// LFS indices this file can place blocks on, i.e. the LFSs that hold one
+  /// of its constituents: `(start_lfs + j) % total_lfs` for `j < width`, or
+  /// every LFS for linked files, which may scatter anywhere.  Ascending, so
+  /// a full-width file fans out to LFS 0..p-1 in order whatever its start.
+  [[nodiscard]] std::vector<std::uint32_t> lfs_span() const;
+
   /// Placement of existing global block `n` (n < size_blocks()).
   [[nodiscard]] util::Result<Placement> place(std::uint64_t n) const;
 

@@ -1,8 +1,11 @@
 // End-to-end Bridge Server tests: the naive view (Table 1 commands), error
-// paths, multiple files, and directory behaviour across p LFS instances.
+// paths, multiple files, directory behaviour across p LFS instances, and the
+// span invariant (a file's constituents live only on the LFSs it spans).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <vector>
 
 #include "src/core/instance.hpp"
 
@@ -272,6 +275,171 @@ TEST(BridgeServer, SingleLfsDegeneratesGracefully) {
   });
   inst.run();
   EXPECT_TRUE(done);
+}
+
+// --- Span invariant ---------------------------------------------------------
+//
+// Create, Delete, DeleteMany and Open's size refresh reach only the LFSs a
+// file spans.  Width 3 from LFS 6 of 8 wraps to LFSs 6, 7, 0; a linked file
+// may scatter anywhere, so it spans all 8.
+
+constexpr std::uint32_t kSpanP = 8;
+
+CreateOptions span_options(Distribution d) {
+  CreateOptions options;
+  options.distribution = d;
+  options.width = 3;
+  options.start_lfs = 6;
+  options.chunk_blocks = 4;  // chunked capacity 12
+  options.hash_seed = 5;
+  return options;
+}
+
+std::vector<std::uint32_t> expected_span(Distribution d) {
+  if (d == Distribution::kLinked) return {0, 1, 2, 3, 4, 5, 6, 7};
+  return {0, 6, 7};
+}
+
+/// `per_lfs` constituents on every spanned LFS, none anywhere else.
+void expect_constituents(BridgeInstance& inst,
+                         const std::vector<std::uint32_t>& span,
+                         std::size_t per_lfs) {
+  for (std::uint32_t i = 0; i < inst.num_lfs(); ++i) {
+    bool spanned = std::find(span.begin(), span.end(), i) != span.end();
+    EXPECT_EQ(inst.lfs(i).core().file_count(), spanned ? per_lfs : 0u)
+        << "lfs " << i;
+  }
+}
+
+class SpanInvariant : public ::testing::TestWithParam<Distribution> {};
+
+TEST_P(SpanInvariant, ConstituentsLiveOnlyOnTheSpan) {
+  const Distribution d = GetParam();
+  const auto span = expected_span(d);
+  BridgeInstance inst(test_config(kSpanP));
+
+  BridgeFileId id = 0;
+  inst.run_client("create", [&](sim::Context&, BridgeClient& client) {
+    auto created = client.create("f", span_options(d));
+    ASSERT_TRUE(created.is_ok()) << created.status().to_string();
+    id = created.value();
+  });
+  inst.run();
+  expect_constituents(inst, span, 1);
+
+  inst.run_client("io", [&](sim::Context&, BridgeClient& client) {
+    auto open = client.open("f");
+    ASSERT_TRUE(open.is_ok());
+    for (std::uint32_t i = 0; i < 10; ++i) {
+      ASSERT_TRUE(client.seq_write(open.value().session, record(i)).is_ok());
+    }
+    auto reopen = client.open("f");
+    ASSERT_TRUE(reopen.is_ok());
+    EXPECT_EQ(reopen.value().meta.size_blocks, 10u);
+    auto truncated = client.truncate(id, 4);
+    ASSERT_TRUE(truncated.is_ok()) << truncated.status().to_string();
+    EXPECT_EQ(truncated.value(), 4u);
+    auto shrunk = client.open("f");
+    ASSERT_TRUE(shrunk.is_ok());
+    EXPECT_EQ(shrunk.value().meta.size_blocks, 4u);
+    for (std::uint32_t i = 0; i < 4; ++i) {
+      auto r = client.seq_read(shrunk.value().session);
+      ASSERT_TRUE(r.is_ok());
+      EXPECT_EQ(r.value().data, record(i));
+    }
+    EXPECT_TRUE(client.seq_read(shrunk.value().session).value().eof);
+  });
+  inst.run();
+  expect_constituents(inst, span, 1);
+  EXPECT_TRUE(inst.verify_all_lfs().is_ok());
+
+  inst.run_client("delete", [&](sim::Context&, BridgeClient& client) {
+    ASSERT_TRUE(client.remove("f").is_ok());
+  });
+  inst.run();
+  expect_constituents(inst, span, 0);
+  EXPECT_TRUE(inst.verify_all_lfs().is_ok());
+
+  inst.run_client("create-two", [&](sim::Context&, BridgeClient& client) {
+    for (const char* name : {"g", "h"}) {
+      ASSERT_TRUE(client.create(name, span_options(d)).is_ok());
+      auto open = client.open(name);
+      ASSERT_TRUE(open.is_ok());
+      for (std::uint32_t i = 0; i < 5; ++i) {
+        ASSERT_TRUE(client.seq_write(open.value().session, record(i)).is_ok());
+      }
+    }
+  });
+  inst.run();
+  expect_constituents(inst, span, 2);
+
+  inst.run_client("delete-many", [&](sim::Context&, BridgeClient& client) {
+    ASSERT_TRUE(client.remove_many({"g", "h"}).is_ok());
+  });
+  inst.run();
+  expect_constituents(inst, span, 0);
+  EXPECT_EQ(inst.server().directory_size(), 0u);
+  EXPECT_TRUE(inst.verify_all_lfs().is_ok());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Distributions, SpanInvariant,
+    ::testing::Values(Distribution::kRoundRobin, Distribution::kChunked,
+                      Distribution::kHashed, Distribution::kLinked),
+    [](const ::testing::TestParamInfo<Distribution>& info) {
+      switch (info.param) {
+        case Distribution::kRoundRobin: return std::string("RoundRobin");
+        case Distribution::kChunked: return std::string("Chunked");
+        case Distribution::kHashed: return std::string("Hashed");
+        case Distribution::kLinked: return std::string("Linked");
+      }
+      return std::string("Unknown");
+    });
+
+/// First name of the form `prefix<i>` whose directory home is `home`.
+std::string name_with_home(const std::string& prefix, std::uint32_t home,
+                           std::uint32_t servers) {
+  for (int i = 0;; ++i) {
+    std::string name = prefix + std::to_string(i);
+    if (directory_home(name, servers) == home) return name;
+  }
+}
+
+TEST(SpanInvariantRouted, CrossServerRenameThenDeleteOnNewHome) {
+  auto cfg = test_config(kSpanP);
+  cfg.num_bridge_servers = 2;
+  BridgeInstance inst(cfg);
+  const auto span = expected_span(Distribution::kRoundRobin);
+  const std::string from = name_with_home("from", 0, 2);
+  const std::string to = name_with_home("to", 1, 2);
+
+  inst.run_routed_client("c", [&](sim::Context&, RoutedBridgeClient& client) {
+    ASSERT_TRUE(client.create(from, span_options(Distribution::kRoundRobin))
+                    .is_ok());
+    auto open = client.open(from);
+    ASSERT_TRUE(open.is_ok());
+    for (std::uint32_t i = 0; i < 6; ++i) {
+      ASSERT_TRUE(client.seq_write(open.value().session, record(i)).is_ok());
+    }
+    auto renamed = client.rename(from, to);
+    ASSERT_TRUE(renamed.is_ok()) << renamed.status().to_string();
+    EXPECT_EQ(file_id_home(renamed.value()), 1u);
+    auto reopen = client.open(to);
+    ASSERT_TRUE(reopen.is_ok());
+    EXPECT_EQ(reopen.value().meta.size_blocks, 6u);
+  });
+  inst.run();
+  EXPECT_EQ(inst.server(1).stats().renames_in, 1u);
+  expect_constituents(inst, span, 1);
+
+  inst.run_routed_client("rm", [&](sim::Context&, RoutedBridgeClient& client) {
+    ASSERT_TRUE(client.remove(to).is_ok());
+  });
+  inst.run();
+  expect_constituents(inst, span, 0);
+  EXPECT_EQ(inst.server(0).directory_size(), 0u);
+  EXPECT_EQ(inst.server(1).directory_size(), 0u);
+  EXPECT_TRUE(inst.verify_all_lfs().is_ok());
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include <set>
 #include <tuple>
+#include <vector>
 
 #include "src/core/distribution.hpp"
 #include "src/core/interleave.hpp"
@@ -115,6 +116,34 @@ TEST(PlacementMap, RechunkCountsMovedBlocks) {
   EXPECT_EQ(m.rechunk(20), 30u);
   // And appending works again.
   EXPECT_TRUE(m.append().is_ok());
+}
+
+TEST(PlacementMap, LfsSpanListsTheLfssAFileCanPlaceOn) {
+  // Width 3 from LFS 6 of 8 wraps to LFSs 6, 7, 0; the span lists them in
+  // ascending order, and every appended block lands inside it.
+  const std::vector<std::uint32_t> wrapped = {0, 6, 7};
+  for (Distribution d : {Distribution::kRoundRobin, Distribution::kChunked,
+                         Distribution::kHashed}) {
+    PlacementMap m(d, 3, 6, 8, /*chunk_blocks=*/4, /*hash_seed=*/5);
+    EXPECT_EQ(m.lfs_span(), wrapped) << distribution_name(d);
+    std::set<std::uint32_t> span(wrapped.begin(), wrapped.end());
+    for (int n = 0; n < 12; ++n) {
+      auto placement = m.append();
+      ASSERT_TRUE(placement.is_ok()) << distribution_name(d);
+      EXPECT_EQ(span.count(placement.value().lfs_index), 1u)
+          << distribution_name(d) << " block " << n;
+    }
+  }
+  // Linked files may scatter anywhere, so they span every LFS.
+  PlacementMap linked(Distribution::kLinked, 3, 6, 8, 0, 0);
+  EXPECT_EQ(linked.lfs_span(),
+            (std::vector<std::uint32_t>{0, 1, 2, 3, 4, 5, 6, 7}));
+  // A full-width file spans LFS 0..p-1 in order whatever its start.
+  PlacementMap full(Distribution::kRoundRobin, 4, 2, 4, 0, 0);
+  EXPECT_EQ(full.lfs_span(), (std::vector<std::uint32_t>{0, 1, 2, 3}));
+  // Width is clamped to the machine, and so is the span.
+  PlacementMap wide(Distribution::kRoundRobin, 9, 1, 2, 0, 0);
+  EXPECT_EQ(wide.lfs_span(), (std::vector<std::uint32_t>{0, 1}));
 }
 
 TEST(PlacementMap, HashedPlacementsAreDenseAndStable) {
