@@ -39,12 +39,11 @@ Measured measure(bool readahead, std::uint64_t records) {
     (void)fs.create(ctx, 1);  // fresh fs; create cannot fail
     for (std::uint64_t i = 0; i < records; ++i) {
       // fill phase; read path below validates the data
-      (void)fs.write(ctx, 1, static_cast<std::uint32_t>(i), payload,
-                     disk::kNilAddr);
+      (void)fs.write(ctx, 1, static_cast<std::uint32_t>(i), payload);
     }
     auto start = ctx.now();
     for (std::uint64_t i = 0; i < records; ++i) {
-      auto r = fs.read(ctx, 1, static_cast<std::uint32_t>(i), disk::kNilAddr);
+      auto r = fs.read(ctx, 1, static_cast<std::uint32_t>(i));
       if (!r.is_ok()) return;
     }
     out.seq_ms = (ctx.now() - start).ms() / static_cast<double>(records);
@@ -54,8 +53,7 @@ Measured measure(bool readahead, std::uint64_t records) {
     start = ctx.now();
     for (std::uint64_t i = 0; i < probes; ++i) {
       auto r = fs.read(ctx, 1,
-                       static_cast<std::uint32_t>(rng.next_below(records)),
-                       disk::kNilAddr);
+                       static_cast<std::uint32_t>(rng.next_below(records)));
       if (!r.is_ok()) return;
     }
     out.rand_ms = (ctx.now() - start).ms() / static_cast<double>(probes);

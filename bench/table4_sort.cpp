@@ -11,7 +11,7 @@
 // Phase 1 is the per-LFS external sort (in-core runs of c = 512 records,
 // then 2-way local merges); phase 2 is the log(p)-depth tree of token-
 // passing parallel merges.  The paper's local merges paid a chain walk per
-// un-hinted read, which is what made its local phase shrink SUPER-linearly:
+// read, which is what made its local phase shrink SUPER-linearly:
 // doubling p halves the per-node data AND removes a local merge pass (at
 // p = 32 the 320-record portions fit in core and no local merge runs at
 // all).  Since layout v2 every read is an extent-map lookup, so the pass-
@@ -74,7 +74,6 @@ int main(int argc, char** argv) {
                                      bridge::core::BridgeClient& client) {
       bridge::tools::SortOptions options;
       options.tuning.in_core_records = static_cast<std::uint32_t>(in_core);
-      options.tuning.hints_in_local_merge = false;  // prototype behaviour
       auto result =
           bridge::tools::run_sort_tool(ctx, client, "input", "sorted", options);
       if (!result.is_ok()) {

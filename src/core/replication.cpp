@@ -58,7 +58,7 @@ util::Result<UnwrappedBlock> read_block(efs::EfsClient& lfs,
                                         std::uint32_t local_block) {
   auto read = lfs.read(meta.lfs_file_id, local_block);
   if (!read.is_ok()) return read.status();
-  return unwrap_block(read.value().data);
+  return unwrap_block(read.value());
 }
 
 util::Result<std::vector<std::byte>> read_unwrapped(efs::EfsClient& lfs,
@@ -87,9 +87,9 @@ void rollback_truncate(efs::EfsClient& lfs, efs::FileId id, std::uint32_t len,
 // --- AsyncBatch plumbing ----------------------------------------------------
 //
 // The replication layer speaks the raw EFS wire ops through sim::AsyncBatch
-// (the PR-1 scatter-gather engine), so every multi-LFS operation has all its
-// requests in flight together.  Replies feed the per-file hint table back
-// through note_hint, exactly like the Bridge Server's pipeline.
+// (the scatter-gather engine), so every multi-LFS operation has all its
+// requests in flight together.  Every read is a kReadMany, one block or a
+// run, exactly like the Bridge Server's pipeline.
 
 void issue_info(sim::AsyncBatch& batch, efs::EfsClient& lfs, efs::FileId id) {
   efs::InfoRequest req{id};
@@ -97,23 +97,16 @@ void issue_info(sim::AsyncBatch& batch, efs::EfsClient& lfs, efs::FileId id) {
              util::encode_to_bytes(req));
 }
 
-void issue_read(sim::AsyncBatch& batch, efs::EfsClient& lfs, efs::FileId id,
-                std::uint32_t local_block) {
-  efs::ReadRequest req{id, local_block, lfs.hint_for(id)};
-  batch.call(lfs.service(), msg(efs::MsgType::kRead),
-             util::encode_to_bytes(req));
-}
-
 void issue_read_many(sim::AsyncBatch& batch, efs::EfsClient& lfs,
                      efs::FileId id, std::vector<std::uint32_t> locals) {
-  efs::ReadManyRequest req{id, lfs.hint_for(id), std::move(locals)};
+  efs::ReadManyRequest req{id, std::move(locals)};
   batch.call(lfs.service(), msg(efs::MsgType::kReadMany),
              util::encode_to_bytes(req));
 }
 
 void issue_write(sim::AsyncBatch& batch, efs::EfsClient& lfs, efs::FileId id,
                  std::uint32_t local_block, std::vector<std::byte> payload) {
-  efs::WriteRequest req{id, local_block, lfs.hint_for(id), std::move(payload)};
+  efs::WriteRequest req{id, local_block, std::move(payload)};
   batch.call(lfs.service(), msg(efs::MsgType::kWrite),
              util::encode_to_bytes(req));
 }
@@ -121,14 +114,13 @@ void issue_write(sim::AsyncBatch& batch, efs::EfsClient& lfs, efs::FileId id,
 void issue_write_run(sim::AsyncBatch& batch, efs::EfsClient& lfs,
                      efs::FileId id, std::vector<std::uint32_t> locals,
                      std::vector<std::vector<std::byte>> payloads) {
-  // Singleton runs use the plain op — byte-identical to the old per-block
-  // path on the wire, same convention as the Bridge Server's pipeline.
+  // Singleton runs write through with kWrite (no preflight, no staged
+  // flush), same convention as the Bridge Server's pipeline.
   if (locals.size() == 1) {
     issue_write(batch, lfs, id, locals[0], std::move(payloads[0]));
     return;
   }
-  efs::WriteManyRequest req{id, lfs.hint_for(id), std::move(locals),
-                            std::move(payloads)};
+  efs::WriteManyRequest req{id, std::move(locals), std::move(payloads)};
   batch.call(lfs.service(), msg(efs::MsgType::kWriteMany),
              util::encode_to_bytes(req));
 }
@@ -139,35 +131,18 @@ util::Result<efs::InfoResponse> take_info(
   return util::decode_from_bytes<efs::InfoResponse>(reply.value());
 }
 
-util::Result<std::vector<std::byte>> take_read(
-    util::Result<std::vector<std::byte>> reply, efs::EfsClient& lfs,
-    efs::FileId id) {
-  if (!reply.is_ok()) return reply.status();
-  auto resp = util::decode_from_bytes<efs::ReadResponse>(reply.value());
-  lfs.note_hint(id, resp.addr);
-  return std::move(resp.data);
-}
-
 util::Result<std::vector<std::vector<std::byte>>> take_read_many(
-    util::Result<std::vector<std::byte>> reply, efs::EfsClient& lfs,
-    efs::FileId id) {
+    util::Result<std::vector<std::byte>> reply, std::size_t count) {
   if (!reply.is_ok()) return reply.status();
-  auto resp = util::decode_from_bytes<efs::ReadManyResponse>(reply.value());
-  lfs.note_hint(id, resp.addr);
-  return std::move(resp.blocks);
+  return efs::read_many_blocks(reply.value(), count);
 }
 
-util::Status take_write(util::Result<std::vector<std::byte>> reply,
-                        efs::EfsClient& lfs, efs::FileId id, bool vectored) {
-  if (!reply.is_ok()) return reply.status();
-  if (vectored) {
-    auto resp = util::decode_from_bytes<efs::WriteManyResponse>(reply.value());
-    lfs.note_hint(id, resp.addr);
-  } else {
-    auto resp = util::decode_from_bytes<efs::WriteResponse>(reply.value());
-    lfs.note_hint(id, resp.addr);
-  }
-  return util::ok_status();
+/// The block of a one-block kReadMany reply.
+util::Result<std::vector<std::byte>> take_read(
+    util::Result<std::vector<std::byte>> reply) {
+  auto blocks = take_read_many(std::move(reply), 1);
+  if (!blocks.is_ok()) return blocks.status();
+  return std::move(blocks.value()[0]);
 }
 
 /// A spare/repaired LFS starts from scratch: whatever survives of the old
@@ -184,7 +159,6 @@ void issue_reset(sim::AsyncBatch& batch, efs::EfsClient& lfs,
 
 util::Status take_reset(util::Result<std::vector<std::byte>> reply,
                         efs::EfsClient& lfs, efs::FileId id) {
-  lfs.forget_hint(id);
   if (reply.is_ok()) return util::ok_status();
   if (reply.status().code() != util::ErrorCode::kNotFound) {
     return reply.status();
@@ -247,11 +221,7 @@ util::Result<RebuildReport> run_rebuild(sim::Context& ctx, sim::RpcClient& rpc,
   };
 
   RebuildReport report;
-  struct PendingWrite {
-    const Constituent* target;
-    std::uint32_t blocks;
-  };
-  std::vector<PendingWrite> pending;
+  std::vector<std::uint32_t> pending;  ///< blocks of each in-flight write run
   std::uint32_t pending_lo = 0;
   bool reset_pending = true;
   // Take the replies riding at the front of a drained batch: the resets
@@ -268,10 +238,10 @@ util::Result<RebuildReport> run_rebuild(sim::Context& ctx, sim::RpcClient& rpc,
       reset_pending = false;
     }
     util::Status write_status = util::ok_status();
-    for (const auto& w : pending) {
-      auto st = take_write(std::move(replies[b++]), *w.target->lfs,
-                           w.target->id, w.blocks > 1);
-      if (!st.is_ok() && write_status.is_ok()) write_status = st;
+    for (std::size_t i = 0; i < pending.size(); ++i, ++b) {
+      if (!replies[b].is_ok() && write_status.is_ok()) {
+        write_status = replies[b].status();
+      }
     }
     if (!write_status.is_ok()) {
       for (const auto& t : targets) {
@@ -279,7 +249,7 @@ util::Result<RebuildReport> run_rebuild(sim::Context& ctx, sim::RpcClient& rpc,
       }
       return write_status;
     }
-    for (const auto& w : pending) report.blocks_rebuilt += w.blocks;
+    for (auto blocks : pending) report.blocks_rebuilt += blocks;
     if (!pending.empty()) ++report.windows;
     pending.clear();
     return util::ok_status();
@@ -299,12 +269,8 @@ util::Result<RebuildReport> run_rebuild(sim::Context& ctx, sim::RpcClient& rpc,
     for (std::size_t i = 0; i < sources.size(); ++i) {
       std::uint32_t end = sources[i].end(lo, hi);
       if (lo == end) continue;
-      auto run = take_read_many(std::move(replies[b++]), *sources[i].lfs,
-                                sources[i].id);
+      auto run = take_read_many(std::move(replies[b++]), end - lo);
       if (!run.is_ok()) return run.status();
-      if (run.value().size() != end - lo) {
-        return util::corrupt("LFS returned a short vectored read");
-      }
       report.blocks_read += end - lo;
       runs[i] = std::move(run).value();
     }
@@ -315,7 +281,7 @@ util::Result<RebuildReport> run_rebuild(sim::Context& ctx, sim::RpcClient& rpc,
     for (std::size_t t = 0; t < targets.size(); ++t) {
       std::uint32_t end = targets[t].end(lo, hi);
       if (lo == end) continue;
-      pending.push_back({&targets[t], end - lo});
+      pending.push_back(end - lo);
       issue_write_run(*batch, *targets[t].lfs, targets[t].id,
                       local_range(lo, end), std::move(payloads.value()[t]));
     }
@@ -472,34 +438,24 @@ util::Status MirroredFile::append_many(
   struct Issued {
     std::uint32_t lfs = 0;
     efs::FileId id = 0;
-    bool vectored = false;
   };
   sim::AsyncBatch batch(*rpc_);
   std::vector<Issued> issued;
   for (std::uint32_t j = 0; j < p; ++j) {
     if (!primary_groups[j].locals.empty()) {
-      issued.push_back({j, primary_.lfs_file_id,
-                        primary_groups[j].locals.size() > 1});
+      issued.push_back({j, primary_.lfs_file_id});
       issue_write_run(batch, *lfs_[j], primary_.lfs_file_id,
                       std::move(primary_groups[j].locals),
                       std::move(primary_groups[j].payloads));
     }
     if (!mirror_groups[j].locals.empty()) {
-      issued.push_back({j, mirror_.lfs_file_id,
-                        mirror_groups[j].locals.size() > 1});
+      issued.push_back({j, mirror_.lfs_file_id});
       issue_write_run(batch, *lfs_[j], mirror_.lfs_file_id,
                       std::move(mirror_groups[j].locals),
                       std::move(mirror_groups[j].payloads));
     }
   }
-  auto replies = batch.wait_all();
-  util::Status first_error = util::ok_status();
-  for (std::size_t b = 0; b < replies.size(); ++b) {
-    auto st = take_write(std::move(replies[b]), *lfs_[issued[b].lfs],
-                         issued[b].id, issued[b].vectored);
-    if (!st.is_ok() && first_error.is_ok()) first_error = st;
-  }
-  if (!first_error.is_ok()) {
+  if (auto first_error = batch.wait_all_ok(); !first_error.is_ok()) {
     // Compensate: roll every touched constituent back to its pre-run length
     // (kTruncate is a no-op for any whose write never landed).  A truncate
     // aimed at the failed LFS itself fails too — nothing was written there.
@@ -741,17 +697,7 @@ util::Status ParityFile::append_stripe(
   }
   issue_write(batch, *lfs_[parity_lfs_index()], parity_.lfs_file_id, stripe,
               std::move(parity_wrapped).value());
-  auto replies = batch.wait_all();
-  util::Status first_error = util::ok_status();
-  for (std::size_t b = 0; b < replies.size(); ++b) {
-    bool is_parity = b == blocks.size();
-    auto& lfs = is_parity ? *lfs_[parity_lfs_index()] : *lfs_[data_lfs[b]];
-    auto st = take_write(std::move(replies[b]), lfs,
-                         is_parity ? parity_.lfs_file_id : data_.lfs_file_id,
-                         /*vectored=*/false);
-    if (!st.is_ok() && first_error.is_ok()) first_error = st;
-  }
-  if (!first_error.is_ok()) {
+  if (auto first_error = batch.wait_all_ok(); !first_error.is_ok()) {
     // Compensate: every constituent of this stripe rolls back to `stripe`
     // local blocks — no torn stripe whose parity silently XORs garbage.
     for (std::size_t i = 0; i < blocks.size(); ++i) {
@@ -786,22 +732,19 @@ util::Result<std::vector<std::byte>> ParityFile::read(std::uint64_t n,
   std::uint64_t stripe_end = std::min<std::uint64_t>(stripe_first + width,
                                                      size_);
   sim::AsyncBatch batch(*rpc_);
-  std::vector<std::uint32_t> sibling_lfs;
   for (std::uint64_t m = stripe_first; m < stripe_end; ++m) {
     if (m == n) continue;
     auto sibling_place = striped_placement(m, width, data_.start_lfs, total);
-    issue_read(batch, *lfs_[sibling_place.lfs_index], data_.lfs_file_id,
-               sibling_place.local_block);
-    sibling_lfs.push_back(sibling_place.lfs_index);
+    issue_read_many(batch, *lfs_[sibling_place.lfs_index], data_.lfs_file_id,
+                    {sibling_place.local_block});
   }
-  issue_read(batch, *lfs_[parity_lfs_index()], parity_.lfs_file_id,
-             static_cast<std::uint32_t>(stripe));
-  auto replies = batch.wait_all();
+  issue_read_many(batch, *lfs_[parity_lfs_index()], parity_.lfs_file_id,
+                  {static_cast<std::uint32_t>(stripe)});
+  auto replies = batch.wait_all();  // siblings in stripe order, then parity
 
   StripeXor stripe_xor;
-  for (std::size_t b = 0; b < sibling_lfs.size(); ++b) {
-    auto raw = take_read(std::move(replies[b]), *lfs_[sibling_lfs[b]],
-                         data_.lfs_file_id);
+  for (std::size_t b = 0; b + 1 < replies.size(); ++b) {
+    auto raw = take_read(std::move(replies[b]));
     if (!raw.is_ok()) {
       return util::unavailable("double failure: cannot reconstruct");
     }
@@ -810,8 +753,7 @@ util::Result<std::vector<std::byte>> ParityFile::read(std::uint64_t n,
       return st;
     }
   }
-  auto parity_raw = take_read(std::move(replies[sibling_lfs.size()]),
-                              *lfs_[parity_lfs_index()], parity_.lfs_file_id);
+  auto parity_raw = take_read(std::move(replies.back()));
   if (!parity_raw.is_ok()) return parity_raw.status();
   if (auto st = stripe_xor.fold(parity_raw.value(), /*is_parity=*/true);
       !st.is_ok()) {

@@ -56,10 +56,6 @@ void BridgeServer::start() {
 
 void BridgeServer::serve(sim::Context& ctx) {
   sim::RpcClient rpc(ctx);
-  lfs_clients_.clear();
-  for (const auto& service : lfs_services_) {
-    lfs_clients_.push_back(std::make_unique<efs::EfsClient>(rpc, service));
-  }
   Wire wire{ctx, rpc};
   std::string lane = "bridge.n" + std::to_string(node_);
   obs::Histogram& queue_us = rt_.metrics().histogram(lane + ".queue_us");
@@ -138,6 +134,18 @@ void BridgeServer::handle(Wire& wire, const sim::Envelope& env) {
 BridgeServer::FileRecord* BridgeServer::find_by_name(const std::string& name) {
   auto it = directory_.find(name);
   return it == directory_.end() ? nullptr : &it->second;
+}
+
+util::Result<BridgeServer::SessionFile> BridgeServer::find_session(
+    std::uint64_t session_id) {
+  auto it = sessions_.find(session_id);
+  if (it == sessions_.end()) return util::not_found("no such session");
+  Session& session = it->second;
+  FileRecord* record = find_by_name(session.name);
+  if (record == nullptr) {
+    return util::not_found("file deleted: " + session.name);
+  }
+  return SessionFile{session, *record};
 }
 
 BridgeServer::FileRecord* BridgeServer::find_by_id(BridgeFileId id) {
@@ -371,24 +379,15 @@ util::Result<std::vector<std::vector<std::byte>>> BridgeServer::read_run(
     group.local_blocks.push_back(placed.value().local_block);
   }
 
-  // Fan one request out per involved LFS, all in flight at once.  A
-  // single-block group uses the plain read op (same envelope as the old
-  // synchronous path); larger groups use the vectored op.
+  // Fan one kReadMany out per involved LFS, all in flight at once.
   sim::AsyncBatch batch(wire.rpc);
   std::vector<std::uint32_t> batch_lfs;
   for (std::uint32_t lfs = 0; lfs < groups.size(); ++lfs) {
-    auto& group = groups[lfs];
+    const auto& group = groups[lfs];
     if (group.local_blocks.empty()) continue;
-    efs::BlockAddr hint = lfs_clients_[lfs]->hint_for(record.lfs_file_id);
-    if (group.local_blocks.size() == 1) {
-      efs::ReadRequest req{record.lfs_file_id, group.local_blocks[0], hint};
-      batch.call(lfs_services_[lfs], msg(efs::MsgType::kRead),
-                 util::encode_to_bytes(req));
-    } else {
-      efs::ReadManyRequest req{record.lfs_file_id, hint, group.local_blocks};
-      batch.call(lfs_services_[lfs], msg(efs::MsgType::kReadMany),
-                 util::encode_to_bytes(req));
-    }
+    efs::ReadManyRequest req{record.lfs_file_id, group.local_blocks};
+    batch.call(lfs_services_[lfs], msg(efs::MsgType::kReadMany),
+               util::encode_to_bytes(req));
     batch_lfs.push_back(lfs);
   }
   if (count > 1) {
@@ -406,30 +405,16 @@ util::Result<std::vector<std::vector<std::byte>>> BridgeServer::read_run(
       if (first_error.is_ok()) first_error = replies[b].status();
       continue;
     }
-    std::uint32_t lfs = batch_lfs[b];
-    const auto& group = groups[lfs];
-    std::vector<std::vector<std::byte>> payloads;
-    efs::BlockAddr addr = efs::kNilAddr;
-    if (group.local_blocks.size() == 1) {
-      auto resp = util::decode_from_bytes<efs::ReadResponse>(replies[b].value());
-      addr = resp.addr;
-      payloads.push_back(std::move(resp.data));
-    } else {
-      auto resp =
-          util::decode_from_bytes<efs::ReadManyResponse>(replies[b].value());
-      addr = resp.addr;
-      payloads = std::move(resp.blocks);
-    }
-    lfs_clients_[lfs]->note_hint(record.lfs_file_id, addr);
-    if (payloads.size() != group.run_pos.size()) {
-      if (first_error.is_ok()) {
-        first_error = util::corrupt("LFS returned a short vectored read");
-      }
+    const auto& group = groups[batch_lfs[b]];
+    auto payloads =
+        efs::read_many_blocks(replies[b].value(), group.run_pos.size());
+    if (!payloads.is_ok()) {
+      if (first_error.is_ok()) first_error = payloads.status();
       continue;
     }
-    for (std::size_t j = 0; j < payloads.size(); ++j) {
+    for (std::size_t j = 0; j < group.run_pos.size(); ++j) {
       std::uint64_t n = first + group.run_pos[j];
-      auto unwrapped = unwrap_block(payloads[j]);
+      auto unwrapped = unwrap_block(payloads.value()[j]);
       if (!unwrapped.is_ok()) {
         if (first_error.is_ok()) first_error = unwrapped.status();
         continue;
@@ -561,24 +546,21 @@ util::Status BridgeServer::write_run(
   // LFS preflights appends so an out-of-space run fails without leaving a
   // partial tail behind).
   sim::AsyncBatch batch(wire.rpc);
-  std::vector<std::uint32_t> batch_lfs;
   for (std::uint32_t lfs = 0; lfs < groups.size(); ++lfs) {
     auto& group = groups[lfs];
     if (group.local_blocks.empty()) continue;
-    efs::BlockAddr hint = lfs_clients_[lfs]->hint_for(record.lfs_file_id);
     if (group.local_blocks.size() == 1) {
-      efs::WriteRequest req{record.lfs_file_id, group.local_blocks[0], hint,
+      efs::WriteRequest req{record.lfs_file_id, group.local_blocks[0],
                             std::move(group.wrapped[0])};
       batch.call(lfs_services_[lfs], msg(efs::MsgType::kWrite),
                  util::encode_to_bytes(req));
     } else {
-      efs::WriteManyRequest req{record.lfs_file_id, hint,
+      efs::WriteManyRequest req{record.lfs_file_id,
                                 std::move(group.local_blocks),
                                 std::move(group.wrapped)};
       batch.call(lfs_services_[lfs], msg(efs::MsgType::kWriteMany),
                  util::encode_to_bytes(req));
     }
-    batch_lfs.push_back(lfs);
   }
   if (user_blocks.size() > 1) {
     ++stats_.vectored_batches;
@@ -586,21 +568,9 @@ util::Status BridgeServer::write_run(
   }
 
   // Gather completions; one failed LFS fails the run whole.
-  auto replies = batch.wait_all();
-  util::Status first_error = util::ok_status();
-  for (std::size_t b = 0; b < replies.size(); ++b) {
-    if (!replies[b].is_ok()) {
-      if (first_error.is_ok()) first_error = replies[b].status();
-      continue;
-    }
-    std::uint32_t lfs = batch_lfs[b];
-    efs::BlockAddr addr =
-        util::decode_from_bytes<efs::WriteResponse>(replies[b].value()).addr;
-    lfs_clients_[lfs]->note_hint(record.lfs_file_id, addr);
-  }
-  if (!first_error.is_ok()) {
+  if (auto st = batch.wait_all_ok(); !st.is_ok()) {
     rollback();
-    return first_error;
+    return st;
   }
   wire.ctx.charge(config_.forward_cpu *
                   static_cast<std::int64_t>(user_blocks.size()));
@@ -626,24 +596,17 @@ util::Status BridgeServer::write_block(Wire& wire, FileRecord& record,
 void BridgeServer::handle_seq_read(Wire& wire, const sim::Envelope& env) {
   util::Reader r(env.payload);
   auto req = SeqReadRequest::decode(r);
-  auto it = sessions_.find(req.session);
-  if (it == sessions_.end()) {
-    return sim::send_reply(wire.ctx, env, util::not_found("no such session"));
-  }
-  Session& session = it->second;
-  FileRecord* record = find_by_name(session.name);
-  if (record == nullptr) {
-    return sim::send_reply(wire.ctx, env,
-                           util::not_found("file deleted: " + session.name));
-  }
+  auto found = find_session(req.session);
+  if (!found.is_ok()) return sim::send_reply(wire.ctx, env, found.status());
+  auto [session, record] = found.value();
   SeqReadResponse resp;
-  if (session.read_cursor >= record->placement.size_blocks()) {
+  if (session.read_cursor >= record.placement.size_blocks()) {
     resp.eof = true;
     resp.block_no = session.read_cursor;
     return sim::send_reply(wire.ctx, env, util::ok_status(),
                            util::encode_to_bytes(resp));
   }
-  auto data = read_block(wire, *record, session.read_cursor);
+  auto data = read_block(wire, record, session.read_cursor);
   if (!data.is_ok()) return sim::send_reply(wire.ctx, env, data.status());
   resp.block_no = session.read_cursor++;
   resp.data = std::move(data).value();
@@ -666,18 +629,11 @@ void BridgeServer::handle_random_read(Wire& wire, const sim::Envelope& env) {
 void BridgeServer::handle_seq_write(Wire& wire, const sim::Envelope& env) {
   util::Reader r(env.payload);
   auto req = SeqWriteRequest::decode(r);
-  auto it = sessions_.find(req.session);
-  if (it == sessions_.end()) {
-    return sim::send_reply(wire.ctx, env, util::not_found("no such session"));
-  }
-  Session& session = it->second;
-  FileRecord* record = find_by_name(session.name);
-  if (record == nullptr) {
-    return sim::send_reply(wire.ctx, env,
-                           util::not_found("file deleted: " + session.name));
-  }
+  auto found = find_session(req.session);
+  if (!found.is_ok()) return sim::send_reply(wire.ctx, env, found.status());
+  auto [session, record] = found.value();
   std::uint64_t n = session.write_cursor;
-  if (auto st = write_block(wire, *record, n, req.data); !st.is_ok()) {
+  if (auto st = write_block(wire, record, n, req.data); !st.is_ok()) {
     return sim::send_reply(wire.ctx, env, st);
   }
   ++session.write_cursor;
@@ -706,22 +662,15 @@ void BridgeServer::handle_random_write(Wire& wire, const sim::Envelope& env) {
 void BridgeServer::handle_seq_read_many(Wire& wire, const sim::Envelope& env) {
   util::Reader r(env.payload);
   auto req = SeqReadManyRequest::decode(r);
-  auto it = sessions_.find(req.session);
-  if (it == sessions_.end()) {
-    return sim::send_reply(wire.ctx, env, util::not_found("no such session"));
-  }
+  auto found = find_session(req.session);
+  if (!found.is_ok()) return sim::send_reply(wire.ctx, env, found.status());
+  auto [session, record] = found.value();
   if (req.max_blocks == 0) {
     return sim::send_reply(wire.ctx, env,
                            util::invalid_argument("empty read run"));
   }
-  Session& session = it->second;
-  FileRecord* record = find_by_name(session.name);
-  if (record == nullptr) {
-    return sim::send_reply(wire.ctx, env,
-                           util::not_found("file deleted: " + session.name));
-  }
   SeqReadManyResponse resp;
-  std::uint64_t size = record->placement.size_blocks();
+  std::uint64_t size = record.placement.size_blocks();
   if (session.read_cursor >= size) {
     resp.eof = true;
     resp.first_block_no = session.read_cursor;
@@ -731,7 +680,7 @@ void BridgeServer::handle_seq_read_many(Wire& wire, const sim::Envelope& env) {
   std::uint32_t count = static_cast<std::uint32_t>(std::min<std::uint64_t>(
       std::min<std::uint64_t>(req.max_blocks, kMaxRunBlocks),
       size - session.read_cursor));
-  auto run = read_run(wire, *record, session.read_cursor, count);
+  auto run = read_run(wire, record, session.read_cursor, count);
   // On any failure the cursor is untouched: the client can fall back to
   // single-block reads from exactly where it stood.
   if (!run.is_ok()) return sim::send_reply(wire.ctx, env, run.status());
@@ -745,22 +694,15 @@ void BridgeServer::handle_seq_read_many(Wire& wire, const sim::Envelope& env) {
 void BridgeServer::handle_seq_write_many(Wire& wire, const sim::Envelope& env) {
   util::Reader r(env.payload);
   auto req = SeqWriteManyRequest::decode(r);
-  auto it = sessions_.find(req.session);
-  if (it == sessions_.end()) {
-    return sim::send_reply(wire.ctx, env, util::not_found("no such session"));
-  }
+  auto found = find_session(req.session);
+  if (!found.is_ok()) return sim::send_reply(wire.ctx, env, found.status());
+  auto [session, record] = found.value();
   if (req.blocks.empty() || req.blocks.size() > kMaxRunBlocks) {
     return sim::send_reply(
         wire.ctx, env, util::invalid_argument("write run must move 1..256 blocks"));
   }
-  Session& session = it->second;
-  FileRecord* record = find_by_name(session.name);
-  if (record == nullptr) {
-    return sim::send_reply(wire.ctx, env,
-                           util::not_found("file deleted: " + session.name));
-  }
   std::uint64_t first = session.write_cursor;
-  if (auto st = write_run(wire, *record, first, req.blocks); !st.is_ok()) {
+  if (auto st = write_run(wire, record, first, req.blocks); !st.is_ok()) {
     // write_run rolled the file size back; the cursor stays put too.
     return sim::send_reply(wire.ctx, env, st);
   }
@@ -790,20 +732,13 @@ void BridgeServer::handle_random_read_many(Wire& wire,
 void BridgeServer::handle_seq_seek(Wire& wire, const sim::Envelope& env) {
   util::Reader r(env.payload);
   auto req = SeqSeekRequest::decode(r);
-  auto it = sessions_.find(req.session);
-  if (it == sessions_.end()) {
-    return sim::send_reply(wire.ctx, env, util::not_found("no such session"));
-  }
-  Session& session = it->second;
-  FileRecord* record = find_by_name(session.name);
-  if (record == nullptr) {
-    return sim::send_reply(wire.ctx, env,
-                           util::not_found("file deleted: " + session.name));
-  }
+  auto found = find_session(req.session);
+  if (!found.is_ok()) return sim::send_reply(wire.ctx, env, found.status());
+  auto [session, record] = found.value();
   // Clamp instead of failing: seeking to (or past) EOF is how a reader
   // positions for "read returns eof", mirroring lseek semantics.
   session.read_cursor =
-      std::min<std::uint64_t>(req.block_no, record->placement.size_blocks());
+      std::min<std::uint64_t>(req.block_no, record.placement.size_blocks());
   SeqSeekResponse resp{session.read_cursor};
   sim::send_reply(wire.ctx, env, util::ok_status(), util::encode_to_bytes(resp));
 }
@@ -892,16 +827,12 @@ void BridgeServer::handle_truncate(Wire& wire, const sim::Envelope& env) {
     return sim::send_reply(wire.ctx, env, st);
   }
 
-  // Commit: directory bookkeeping, hint hygiene (remembered tail addresses
-  // now point at freed blocks), and session cursors — write_run appends at
-  // the file size, so a cursor past the new end must be pulled back or the
-  // next sequential write would land far beyond EOF.
+  // Commit: directory bookkeeping and session cursors — write_run appends
+  // at the file size, so a cursor past the new end must be pulled back or
+  // the next sequential write would land far beyond EOF.
   BRIDGE_RACE_WRITE(wire.ctx, &kPlacementRaceAnchor, record->lfs_file_id,
                     "bridge.placement");
   record->placement.truncate(req.new_size_blocks);
-  for (std::uint32_t i : involved) {
-    lfs_clients_[i]->forget_hint(record->lfs_file_id);
-  }
   // NOLINT(bridge-unordered-iter): clamp-with-min is commutative and touches
   // each session independently — no observable effect of visit order.
   for (auto& [sid, session] : sessions_) {
@@ -927,7 +858,6 @@ void BridgeServer::handle_parallel_open(Wire& wire, const sim::Envelope& env) {
   job.name = it->second.name;
   job.workers = req.workers;
   job.cursor = 0;
-  job.lfs_hints.assign(num_lfs(), disk::kNilAddr);
   std::uint64_t job_id = next_job_++;
   jobs_[job_id] = std::move(job);
   ParallelOpenResponse resp{job_id};
@@ -964,7 +894,6 @@ void BridgeServer::handle_parallel_read(Wire& wire, const sim::Envelope& env) {
     struct Pending {
       std::uint64_t corr;
       std::uint64_t global_no;
-      std::uint32_t lfs;
       std::uint32_t worker;
     };
     std::vector<Pending> pending;
@@ -973,20 +902,20 @@ void BridgeServer::handle_parallel_read(Wire& wire, const sim::Envelope& env) {
       std::uint64_t n = job.cursor + i;
       auto placed = record->placement.place(n);
       if (!placed.is_ok()) return sim::send_reply(wire.ctx, env, placed.status());
-      efs::ReadRequest lfs_req{record->lfs_file_id, placed.value().local_block,
-                               job.lfs_hints[placed.value().lfs_index]};
+      efs::ReadManyRequest lfs_req{record->lfs_file_id,
+                                   {placed.value().local_block}};
       pending.push_back(Pending{
           wire.rpc.call_async(lfs_services_[placed.value().lfs_index],
-                              msg(efs::MsgType::kRead),
+                              msg(efs::MsgType::kReadMany),
                               util::encode_to_bytes(lfs_req)),
-          n, placed.value().lfs_index, delivered + i});
+          n, delivered + i});
     }
     for (const auto& item : pending) {
       auto reply = wire.rpc.wait_reply(item.corr);
       if (!reply.is_ok()) return sim::send_reply(wire.ctx, env, reply.status());
-      auto lfs_resp = util::decode_from_bytes<efs::ReadResponse>(reply.value());
-      job.lfs_hints[item.lfs] = lfs_resp.addr;
-      auto unwrapped = unwrap_block(lfs_resp.data);
+      auto blocks = efs::read_many_blocks(reply.value(), 1);
+      if (!blocks.is_ok()) return sim::send_reply(wire.ctx, env, blocks.status());
+      auto unwrapped = unwrap_block(blocks.value()[0]);
       if (!unwrapped.is_ok()) {
         return sim::send_reply(wire.ctx, env, unwrapped.status());
       }
@@ -1068,11 +997,7 @@ void BridgeServer::handle_parallel_write(Wire& wire, const sim::Envelope& env) {
     }
     // Write the collected prefix; consecutive appends hit distinct LFSs
     // under round-robin, so fire them all then wait.
-    struct PendingWrite {
-      std::uint64_t corr;
-      std::uint32_t lfs;
-    };
-    std::vector<PendingWrite> writes;
+    std::vector<std::uint64_t> writes;
     writes.reserve(blocks.size());
     for (auto& data : blocks) {
       std::uint64_t n = record->placement.size_blocks();
@@ -1088,21 +1013,17 @@ void BridgeServer::handle_parallel_write(Wire& wire, const sim::Envelope& env) {
         return sim::send_reply(wire.ctx, env, wrapped.status());
       }
       efs::WriteRequest lfs_req{record->lfs_file_id, placed.value().local_block,
-                                job.lfs_hints[placed.value().lfs_index],
                                 std::move(wrapped).value()};
-      writes.push_back(PendingWrite{
+      writes.push_back(
           wire.rpc.call_async(lfs_services_[placed.value().lfs_index],
                               msg(efs::MsgType::kWrite),
-                              util::encode_to_bytes(lfs_req)),
-          placed.value().lfs_index});
+                              util::encode_to_bytes(lfs_req)));
       wire.ctx.charge(config_.forward_cpu);
       ++stats_.blocks_forwarded;
     }
-    for (const auto& item : writes) {
-      auto reply = wire.rpc.wait_reply(item.corr);
+    for (auto corr : writes) {
+      auto reply = wire.rpc.wait_reply(corr);
       if (!reply.is_ok()) return sim::send_reply(wire.ctx, env, reply.status());
-      auto lfs_resp = util::decode_from_bytes<efs::WriteResponse>(reply.value());
-      job.lfs_hints[item.lfs] = lfs_resp.addr;
     }
     written += static_cast<std::uint32_t>(blocks.size());
     next_worker += round;

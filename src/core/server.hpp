@@ -22,7 +22,7 @@
 
 #include "src/core/config.hpp"
 #include "src/core/protocol.hpp"
-#include "src/efs/client.hpp"
+#include "src/efs/protocol.hpp"
 #include "src/sim/rpc.hpp"
 #include "src/sim/runtime.hpp"
 
@@ -130,11 +130,15 @@ class BridgeServer {
     std::uint64_t read_cursor = 0;
     std::uint64_t write_cursor = 0;
   };
+  /// An open session and the file it reads and writes.
+  struct SessionFile {
+    Session& session;
+    FileRecord& record;
+  };
   struct Job {
     std::string name;
     std::vector<sim::Address> workers;
     std::uint64_t cursor = 0;
-    std::vector<disk::BlockAddr> lfs_hints;  ///< per LFS, for async rounds
     bool writers_drained = false;
   };
   /// A cross-server rename parked between prepare and ack.  The record is
@@ -206,6 +210,9 @@ class BridgeServer {
   /// Refresh a record's size from the LFS instances (used by Open).
   util::Status refresh_size(Wire& wire, FileRecord& record);
 
+  /// Resolve a session id to its session and file: "no such session" when
+  /// the id is unknown, "file deleted: <name>" when its file is gone.
+  util::Result<SessionFile> find_session(std::uint64_t session_id);
   FileRecord* find_by_name(const std::string& name);
   FileRecord* find_by_id(BridgeFileId id);
   FileMeta meta_of(const FileRecord& record) const;
@@ -221,8 +228,6 @@ class BridgeServer {
   std::unordered_map<BridgeFileId, std::string> id_index_;
   std::unordered_map<std::uint64_t, Session> sessions_;
   std::unordered_map<std::uint64_t, Job> jobs_;
-  /// Per-LFS hint tables for the synchronous (naive-view) data path.
-  std::vector<std::unique_ptr<efs::EfsClient>> lfs_clients_;
 
   /// Routed group, indexed by home.  Empty = standalone (single server).
   std::vector<sim::Address> peers_;

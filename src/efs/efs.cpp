@@ -343,8 +343,7 @@ util::Result<BlockAddr> EfsCore::locate(sim::Context& ctx, std::uint32_t slot,
 }
 
 util::Result<ReadResult> EfsCore::read(sim::Context& ctx, FileId id,
-                                       std::uint32_t block_no, BlockAddr hint) {
-  (void)hint;  // v2: the extent map answers lookups; hints are wire-compat only
+                                       std::uint32_t block_no) {
   // A dead drive takes the whole LFS out of service, even for cached blocks
   // — serving stale RAM copies of a failed device would mask the fault the
   // §6 discussion is about.
@@ -523,16 +522,13 @@ util::Result<BlockAddr> EfsCore::write_one(sim::Context& ctx, FileId id,
 
 util::Result<BlockAddr> EfsCore::write(sim::Context& ctx, FileId id,
                                        std::uint32_t block_no,
-                                       std::span<const std::byte> data,
-                                       BlockAddr hint) {
-  (void)hint;  // wire-compat only
+                                       std::span<const std::byte> data) {
   return write_one(ctx, id, block_no, data, /*defer_data=*/false);
 }
 
 util::Result<BlockAddr> EfsCore::write_run(
     sim::Context& ctx, FileId id, std::span<const std::uint32_t> block_nos,
-    std::span<const std::vector<std::byte>> blocks, BlockAddr hint) {
-  (void)hint;  // wire-compat only
+    std::span<const std::vector<std::byte>> blocks) {
   if (block_nos.size() != blocks.size()) {
     return util::invalid_argument("write_run length mismatch");
   }

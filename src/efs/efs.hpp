@@ -4,8 +4,8 @@
 //  - file names are numbers hashed into a directory,
 //  - each file's placement is a sorted extent list (block_no, addr, len)
 //    persisted in extent-table blocks; locate() is an O(log extents) binary
-//    search instead of the paper's chain walk, so request hints are accepted
-//    on the wire for compatibility but no longer needed for lookup,
+//    search instead of the paper's chain walk, so callers name blocks by
+//    number alone and never pass a disk address,
 //  - allocation is an FFS-style bitmap with nearest-to-goal placement:
 //    appends extend the file's last extent when the next disk block is free,
 //    keeping files contiguous and track-local,
@@ -67,7 +67,7 @@ struct FileInfo {
 };
 
 struct ReadResult {
-  BlockAddr addr = kNilAddr;         ///< where the block lives (next hint)
+  BlockAddr addr = kNilAddr;         ///< where the block lives
   std::vector<std::byte> data;       ///< kEfsDataBytes payload
 };
 
@@ -110,17 +110,17 @@ class EfsCore {
   util::Status remove(sim::Context& ctx, FileId id);
   util::Result<FileInfo> info(sim::Context& ctx, FileId id);
 
-  /// Read local block `block_no` of file `id`.  `hint` is accepted for wire
-  /// compatibility (§4.3) but unused: the extent map answers every lookup.
+  /// Read local block `block_no` of file `id`; the extent map answers the
+  /// lookup.
   util::Result<ReadResult> read(sim::Context& ctx, FileId id,
-                                std::uint32_t block_no, BlockAddr hint);
+                                std::uint32_t block_no);
 
   /// Write local block `block_no` (exactly kEfsDataBytes bytes).  Writing at
   /// block_no == size appends; beyond it is an error.  Returns the block's
-  /// disk address (the natural hint for the next call).
+  /// disk address.
   util::Result<BlockAddr> write(sim::Context& ctx, FileId id,
                                 std::uint32_t block_no,
-                                std::span<const std::byte> data, BlockAddr hint);
+                                std::span<const std::byte> data);
 
   /// Write a whole run of local blocks (the kWriteMany backend).  Each data
   /// block is staged in the cache instead of written through, and every
@@ -128,13 +128,12 @@ class EfsCore {
   /// write-side counterpart of full-track read buffering, so a contiguous
   /// run costs ~one disk time per track instead of one per block.  Blocks
   /// land with the same on-disk contents as the per-block path.  Returns
-  /// the last block's address (the hint for the next run); on error the
-  /// staged prefix is still flushed so the disk reflects every completed
-  /// block and the caller can compensate with truncate().
+  /// the last block's address; on error the staged prefix is still flushed
+  /// so the disk reflects every completed block and the caller can
+  /// compensate with truncate().
   util::Result<BlockAddr> write_run(sim::Context& ctx, FileId id,
                                     std::span<const std::uint32_t> block_nos,
-                                    std::span<const std::vector<std::byte>> blocks,
-                                    BlockAddr hint);
+                                    std::span<const std::vector<std::byte>> blocks);
 
   /// Truncate file `id` to `new_size_blocks` (<= current size; equal is a
   /// no-op).  Dropped tail blocks are O(extents) bitmap clears; a truncate

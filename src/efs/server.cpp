@@ -88,9 +88,8 @@ void EfsServer::serve(sim::Context& ctx) {
 std::uint32_t EfsServer::estimate_track(const sim::Envelope& env) const {
   const auto& geom = disk_->geometry();
   // The RAM-resident extent maps answer "which track will this request
-  // seek to" exactly, for free — the scheduler no longer depends on the
-  // client's (possibly stale) hint.  Requests for appends or unknown files
-  // fall back to the file's first block, then to "no preference".
+  // seek to" exactly, for free.  Requests for appends or unknown files fall
+  // back to the file's first block, then to "no preference".
   auto track_of_block = [&](FileId file_id,
                             std::uint32_t block_no) -> std::uint32_t {
     BlockAddr addr = core_->peek_block_addr(file_id, block_no);
@@ -106,7 +105,6 @@ std::uint32_t EfsServer::estimate_track(const sim::Envelope& env) const {
   try {
     util::Reader r(env.payload);
     switch (static_cast<MsgType>(env.type)) {
-      case MsgType::kRead:
       case MsgType::kWrite: {
         FileId file_id = r.u32();
         return track_of_block(file_id, r.u32());
@@ -114,7 +112,6 @@ std::uint32_t EfsServer::estimate_track(const sim::Envelope& env) const {
       case MsgType::kReadMany:
       case MsgType::kWriteMany: {
         FileId file_id = r.u32();
-        r.u32();  // hint (wire-compat, unused)
         std::uint32_t count = r.u32();
         return track_of_block(file_id, count > 0 ? r.u32() : 0);
       }
@@ -155,21 +152,8 @@ void EfsServer::handle(sim::Context& ctx, const sim::Envelope& env) {
           sim::send_reply(ctx, env, result.status());
           return;
         }
-        InfoResponse resp{result.value().size_blocks, result.value().head,
+        InfoResponse resp{result.value().size_blocks,
                           static_cast<std::uint32_t>(core_->free_block_count())};
-        sim::send_reply(ctx, env, util::ok_status(),
-                        util::encode_to_bytes(resp));
-        return;
-      }
-      case MsgType::kRead: {
-        Reader r(env.payload);
-        auto req = ReadRequest::decode(r);
-        auto result = core_->read(ctx, req.file_id, req.block_no, req.hint);
-        if (!result.is_ok()) {
-          sim::send_reply(ctx, env, result.status());
-          return;
-        }
-        ReadResponse resp{result.value().addr, std::move(result.value().data)};
         sim::send_reply(ctx, env, util::ok_status(),
                         util::encode_to_bytes(resp));
         return;
@@ -177,15 +161,8 @@ void EfsServer::handle(sim::Context& ctx, const sim::Envelope& env) {
       case MsgType::kWrite: {
         Reader r(env.payload);
         auto req = WriteRequest::decode(r);
-        auto result =
-            core_->write(ctx, req.file_id, req.block_no, req.data, req.hint);
-        if (!result.is_ok()) {
-          sim::send_reply(ctx, env, result.status());
-          return;
-        }
-        WriteResponse resp{result.value()};
-        sim::send_reply(ctx, env, util::ok_status(),
-                        util::encode_to_bytes(resp));
+        auto result = core_->write(ctx, req.file_id, req.block_no, req.data);
+        sim::send_reply(ctx, env, result.status());
         return;
       }
       case MsgType::kReadMany: {
@@ -193,17 +170,14 @@ void EfsServer::handle(sim::Context& ctx, const sim::Envelope& env) {
         auto req = ReadManyRequest::decode(r);
         ReadManyResponse resp;
         resp.blocks.reserve(req.block_nos.size());
-        BlockAddr hint = req.hint;
         for (auto block_no : req.block_nos) {
-          auto result = core_->read(ctx, req.file_id, block_no, hint);
+          auto result = core_->read(ctx, req.file_id, block_no);
           if (!result.is_ok()) {
             sim::send_reply(ctx, env, result.status());
             return;
           }
-          hint = result.value().addr;
           resp.blocks.push_back(std::move(result.value().data));
         }
-        resp.addr = hint;
         sim::send_reply(ctx, env, util::ok_status(),
                         util::encode_to_bytes(resp));
         return;
@@ -234,15 +208,9 @@ void EfsServer::handle(sim::Context& ctx, const sim::Envelope& env) {
           sim::send_reply(ctx, env, st);
           return;
         }
-        auto result = core_->write_run(ctx, req.file_id, req.block_nos,
-                                       req.blocks, req.hint);
-        if (!result.is_ok()) {
-          sim::send_reply(ctx, env, result.status());
-          return;
-        }
-        WriteManyResponse resp{result.value()};
-        sim::send_reply(ctx, env, util::ok_status(),
-                        util::encode_to_bytes(resp));
+        auto result =
+            core_->write_run(ctx, req.file_id, req.block_nos, req.blocks);
+        sim::send_reply(ctx, env, result.status());
         return;
       }
       case MsgType::kTruncate: {

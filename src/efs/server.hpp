@@ -44,9 +44,9 @@ class EfsServer {
   void serve(sim::Context& ctx);
   void handle(sim::Context& ctx, const sim::Envelope& env);
   /// Estimate the disk track a queued request will touch (for SCAN
-  /// ordering): the request's hint when it carries a valid one, else the
-  /// file's head block, else wherever the head currently sits.  Untimed —
-  /// only the RAM-resident directory is consulted.
+  /// ordering): the track of the first block it names, else the file's
+  /// first block (appends), else wherever the head currently sits.  Untimed
+  /// — only the RAM-resident extent maps are consulted.
   [[nodiscard]] std::uint32_t estimate_track(const sim::Envelope& env) const;
 
   sim::Runtime& rt_;

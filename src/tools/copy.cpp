@@ -87,8 +87,8 @@ EcopyResult ecopy(sim::Context& ctx, const EcopyTask& task,
       auto write = efs.write_many(task.dst.lfs_file_id, block_nos,
                                   std::move(out_blocks));
       if (!write.is_ok()) {
-        result.error = write.status().code();
-        result.message = write.status().message();
+        result.error = write.code();
+        result.message = write.message();
         return result;
       }
     }

@@ -70,19 +70,18 @@ TEST(MessageStats, VectoredOpsAccountExactBytes) {
 
     // Remote leg: the run grows the file across both LFSs, so the bridge
     // first runs the concurrent kInfo preflight (2 requests + 2 replies),
-    // then one kWriteMany per LFS (2 requests + 2 WriteResponse replies).
+    // then one kWriteMany per LFS (2 requests + 2 empty replies).
     EXPECT_EQ(wd.remote_messages, 8u);
     efs::InfoRequest info_req{};
     efs::InfoResponse info_resp{};
     efs::WriteManyRequest wm;
     wm.block_nos.assign(4, 0);
     wm.blocks.assign(4, std::vector<std::byte>(efs::kEfsDataBytes));
-    efs::WriteResponse wm_resp{};
     EXPECT_EQ(wd.remote_bytes,
               2 * wire_size(util::encode_to_bytes(info_req)) +
                   2 * reply_wire_size(util::encode_to_bytes(info_resp)) +
                   2 * wire_size(util::encode_to_bytes(wm)) +
-                  2 * reply_wire_size(util::encode_to_bytes(wm_resp)));
+                  2 * reply_wire_size({}));
 
     // Now the vectored read of the same 8 blocks through a fresh session.
     auto reopen = client.open("f");

@@ -570,7 +570,7 @@ TEST(Pipeline, StreamMoveWriteRoundTrips) {
 
 TEST(Pipeline, EfsVectoredOpsRoundTrip) {
   // Tool-view coverage of the LFS-level vectored ops themselves: scrambled
-  // order, hint chaining, and the out-of-space preflight.
+  // order, length mismatch, and the out-of-space preflight.
   BridgeInstance inst(test_config(2, /*blocks=*/24));
   inst.run_client("tool", [&](sim::Context&, BridgeClient& client) {
     auto info = client.get_info();
@@ -596,7 +596,7 @@ TEST(Pipeline, EfsVectoredOpsRoundTrip) {
                 std::byte(static_cast<std::uint8_t>(scrambled[j])));
     }
     // Mismatched lengths are rejected.
-    EXPECT_EQ(lfs.write_many(77, {6, 7}, {blocks[0]}).status().code(),
+    EXPECT_EQ(lfs.write_many(77, {6, 7}, {blocks[0]}).code(),
               util::ErrorCode::kInvalidArgument);
     // A vectored append beyond the free space fails whole: nothing written.
     std::uint64_t appends_before = inst.lfs(0).core().op_stats().appends;
@@ -606,7 +606,7 @@ TEST(Pipeline, EfsVectoredOpsRoundTrip) {
       big_nos.push_back(6 + i);
       big_blocks.emplace_back(efs::kEfsDataBytes, std::byte{0x42});
     }
-    EXPECT_EQ(lfs.write_many(77, big_nos, big_blocks).status().code(),
+    EXPECT_EQ(lfs.write_many(77, big_nos, big_blocks).code(),
               util::ErrorCode::kOutOfSpace);
     EXPECT_EQ(inst.lfs(0).core().op_stats().appends, appends_before);
     auto after = lfs.info(77);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/instance.hpp"
+#include "src/efs/client.hpp"
 
 namespace bridge::core {
 namespace {
@@ -51,18 +52,24 @@ TEST(ProtocolRobustness, EfsServerSurvivesGarbage) {
   inst.start();
   sim::Address lfs = inst.lfs(0).address();
   bool alive = false;
+  util::ErrorCode retired_code = util::ErrorCode::kOk;
   inst.runtime().spawn(inst.config().client_node(), "attacker",
                        [&](sim::Context& ctx) {
                          sim::RpcClient rpc(ctx);
                          std::vector<std::byte> junk(3, std::byte{0x77});
-                         for (std::uint32_t type = 0x100; type <= 0x105; ++type) {
+                         const auto last = static_cast<std::uint32_t>(
+                             efs::MsgType::kTruncate);
+                         for (std::uint32_t type = 0x100; type <= last; ++type) {
                            (void)rpc.call(lfs, type, junk);  // fuzzing: any non-crash reply (incl. errors) is a pass
                          }
+                         // 0x103, the retired single-block read, is unknown.
+                         retired_code = rpc.call(lfs, 0x103, {}).status().code();
                          efs::EfsClient efs(rpc, lfs);
                          alive = efs.create(12345).is_ok();
                        });
   inst.run();
   EXPECT_TRUE(alive);
+  EXPECT_EQ(retired_code, util::ErrorCode::kInvalidArgument);
 }
 
 TEST(ProtocolRobustness, SessionOutlivesFileDeletionGracefully) {

@@ -614,7 +614,7 @@ ConstituentImage constituents_of(BridgeClient& client, std::uint32_t lfs,
       auto read = lfs_clients[lfs]->read(id, l);
       EXPECT_TRUE(read.is_ok()) << name << " local " << l;
       if (!read.is_ok()) return image;
-      blocks.push_back(read.value().data);
+      blocks.push_back(std::move(read.value()));
     }
   }
   return image;

@@ -42,7 +42,7 @@ TEST(EfsServer, RemoteCreateWriteReadDelete) {
     for (std::uint32_t i = 0; i < 10; ++i) {
       auto r = efs.read(31, i);
       ASSERT_TRUE(r.is_ok());
-      EXPECT_EQ(r.value().data, payload(i));
+      EXPECT_EQ(r.value(), payload(i));
     }
     ASSERT_TRUE(efs.remove(31).is_ok());
     EXPECT_EQ(efs.info(31).status().code(), util::ErrorCode::kNotFound);
@@ -69,7 +69,7 @@ TEST(EfsServer, ExtentMapKeepsLookupsFlat) {
     }
   });
   rt.run();
-  // One map lookup per read, none per append: no chain walking, no hint
+  // One map lookup per read, none per append: no chain walking, no
   // table needed on either side of the wire.
   EXPECT_EQ(server.core().op_stats().extent_lookups, 120u);
   // A contiguous sequential file stays one extent.
@@ -108,7 +108,7 @@ TEST(EfsServer, TwoClientsShareOneServer) {
       for (std::uint32_t i = 0; i < 20; ++i) {
         auto r = efs.read(id, i);
         ASSERT_TRUE(r.is_ok());
-        EXPECT_EQ(r.value().data, payload(c * 50 + i));
+        EXPECT_EQ(r.value(), payload(c * 50 + i));
       }
       ++completed;
     });
@@ -132,10 +132,10 @@ TEST(EfsServer, TruncateOverRpc) {
     auto t = efs.truncate(17, 6);
     ASSERT_TRUE(t.is_ok());
     EXPECT_EQ(t.value().size_blocks, 6u);
-    // The dropped hint must not poison the next access.
+    // The kept prefix still reads; the freed tail is gone.
     auto r = efs.read(17, 5);
     ASSERT_TRUE(r.is_ok());
-    EXPECT_EQ(r.value().data, payload(5));
+    EXPECT_EQ(r.value(), payload(5));
     EXPECT_EQ(efs.read(17, 6).status().code(),
               util::ErrorCode::kInvalidArgument);
     EXPECT_EQ(efs.truncate(17, 9).status().code(),
@@ -175,6 +175,22 @@ TEST(EfsServer, LocalClientCheaperThanRemote) {
   sim::SimTime local_time = measure(true);
   sim::SimTime remote_time = measure(false);
   EXPECT_LT(local_time.us(), remote_time.us());
+}
+
+TEST(EfsServer, SingleBlockWireSizes) {
+  // Remote messages cost per byte, so these sizes fix the virtual time of
+  // every single-block LFS read and write.  A one-block kReadMany is file id,
+  // count, block number; its reply is the count plus one length-prefixed
+  // block.
+  ReadManyRequest read_req{7, {3}};
+  EXPECT_EQ(util::encode_to_bytes(read_req).size(), 12u);
+  ReadManyResponse read_resp;
+  read_resp.blocks.push_back(payload(1));
+  EXPECT_EQ(util::encode_to_bytes(read_resp).size(), 8u + kEfsDataBytes);
+  WriteRequest write_req{7, 3, payload(1)};
+  EXPECT_EQ(util::encode_to_bytes(write_req).size(), 12u + kEfsDataBytes);
+  InfoResponse info_resp{10, 20};
+  EXPECT_EQ(util::encode_to_bytes(info_resp).size(), 8u);
 }
 
 }  // namespace

@@ -4,7 +4,7 @@
 
 #include <algorithm>
 #include <map>
-#include <type_traits>
+#include <string>
 
 #include "src/core/instance.hpp"
 #include "src/tools/sort/sort_tool.hpp"
@@ -82,19 +82,19 @@ std::vector<std::uint64_t> random_keys(std::size_t n, std::uint64_t seed) {
   return keys;
 }
 
-// gtest prints a SortCase as its raw bytes, and ctest names each case after
-// that print. `hints` is a full word rather than a bool so the struct has no
-// padding: uninitialised padding bytes would give the cases a different name
-// on every test discovery.
 struct SortCase {
   std::uint32_t p;
   std::uint32_t records;
   std::uint32_t in_core;
-  std::uint32_t hints;  // 0 or 1
   std::uint32_t fanin = 2;
 };
-static_assert(std::has_unique_object_representations_v<SortCase>,
-              "SortCase must have no padding bytes");
+
+/// Case name from the parameters, e.g. "p2_r64_c8_f2".
+std::string sort_case_name(const ::testing::TestParamInfo<SortCase>& info) {
+  const SortCase& c = info.param;
+  return "p" + std::to_string(c.p) + "_r" + std::to_string(c.records) + "_c" +
+         std::to_string(c.in_core) + "_f" + std::to_string(c.fanin);
+}
 
 class SortProperty : public ::testing::TestWithParam<SortCase> {};
 
@@ -108,7 +108,6 @@ TEST_P(SortProperty, SortsToPermutation) {
   inst.run_client("sorter", [&](sim::Context& ctx, BridgeClient& client) {
     SortOptions options;
     options.tuning.in_core_records = param.in_core;
-    options.tuning.hints_in_local_merge = param.hints != 0;
     options.tuning.local_merge_fanin = param.fanin;
     auto result = run_sort_tool(ctx, client, "input", "sorted", options);
     ASSERT_TRUE(result.is_ok()) << result.status().to_string();
@@ -125,18 +124,18 @@ TEST_P(SortProperty, SortsToPermutation) {
 INSTANTIATE_TEST_SUITE_P(
     Cases, SortProperty,
     ::testing::Values(
-        SortCase{2, 64, 8, false},    // several local merge passes
-        SortCase{2, 64, 8, true},     // hinted local merges (ablation)
-        SortCase{4, 100, 16, false},  // non-multiple of p
-        SortCase{4, 16, 64, false},   // in-core only (no local merges)
-        SortCase{8, 128, 8, false},   // deep global merge tree
-        SortCase{3, 50, 8, false},    // non-power-of-two p
-        SortCase{1, 20, 4, false},    // degenerate single LFS
-        SortCase{8, 8, 16, false},      // one record per node
-        SortCase{4, 3, 16, false},      // fewer records than nodes
-        SortCase{2, 120, 8, false, 8},  // 8-way local merges (§5.2 fix)
-        SortCase{4, 90, 8, true, 4},    // 4-way + hints
-        SortCase{2, 64, 8, false, 16}));  // fan-in exceeds run count
+        SortCase{2, 64, 8},       // several local merge passes
+        SortCase{4, 100, 16},     // non-multiple of p
+        SortCase{4, 16, 64},      // in-core only (no local merges)
+        SortCase{8, 128, 8},      // deep global merge tree
+        SortCase{3, 50, 8},       // non-power-of-two p
+        SortCase{1, 20, 4},       // degenerate single LFS
+        SortCase{8, 8, 16},       // one record per node
+        SortCase{4, 3, 16},       // fewer records than nodes
+        SortCase{2, 120, 8, 8},   // 8-way local merges (§5.2 fix)
+        SortCase{4, 90, 8, 4},    // 4-way local merges
+        SortCase{2, 64, 8, 16}),  // fan-in exceeds run count
+    sort_case_name);
 
 TEST(SortTool, DuplicateKeysSurvive) {
   BridgeInstance inst(cfg(4));
