@@ -10,6 +10,8 @@
 // Sweep the worker count t on a fixed p-LFS machine and measure whole-file
 // parallel-read time; t = 1 degenerates to the naive interface's behaviour.
 #include <cstdio>
+#include <utility>
+#include <vector>
 
 #include "bench/bench_util.hpp"
 
@@ -66,6 +68,8 @@ int main(int argc, char** argv) {
               "speedup", "regime");
   std::printf("-----+------------+------------+-----------+------------------\n");
   double base = 0;
+  std::vector<std::pair<std::uint32_t, double>> rows;  // (t, rec/sec)
+  bool ok = true;
   for (std::uint32_t t : {1u, 2u, 4u, 8u, 16u, 32u}) {
     double sec = measure(p, t, records);
     if (t == 1) base = sec;
@@ -74,10 +78,41 @@ int main(int argc, char** argv) {
                                   : "virtual parallelism";
     std::printf("%4u | %8.2f s | %10.0f | %8.2fx | %s\n", t, sec,
                 static_cast<double>(records) / sec, base / sec, regime);
+    if (sec <= 0) {
+      std::printf("FAIL: the parallel read at t=%u did not finish\n", t);
+      ok = false;
+    }
+    rows.emplace_back(t, static_cast<double>(records) / sec);
+  }
+  // Gate: rec/sec rises at every step up to t = p, and each doubling past p
+  // gains less than the doubling into t = p did.
+  std::size_t at_p = 0;  // last row with t <= p
+  for (std::size_t i = 1; i < rows.size() && rows[i].first <= p; ++i) {
+    at_p = i;
+    if (rows[i].second <= rows[i - 1].second) {
+      std::printf("FAIL: rec/sec does not rise from t=%u to t=%u\n",
+                  rows[i - 1].first, rows[i].first);
+      ok = false;
+    }
+  }
+  if (at_p > 0) {
+    double into_p = rows[at_p].second / rows[at_p - 1].second;
+    for (std::size_t i = at_p + 1; i < rows.size(); ++i) {
+      double gain = rows[i].second / rows[i - 1].second;
+      if (gain >= into_p) {
+        std::printf("FAIL: t=%u -> t=%u gains x%.2f, not less than the x%.2f "
+                    "of t=%u -> t=%u\n",
+                    rows[i - 1].first, rows[i].first, gain, into_p,
+                    rows[at_p - 1].first, rows[at_p].first);
+        ok = false;
+      }
+    }
   }
   std::printf(
       "\nshape checks: throughput grows until t = p, then flattens - extra\n"
       "workers only add lock-step rounds over the same p disks (the hidden\n"
-      "serialization of section 4.1).\n");
-  return 0;
+      "serialization of section 4.1).  Exits 1 unless rec/sec rises at every\n"
+      "step up to t = p and each doubling past p gains less than the doubling\n"
+      "into t = p.\n");
+  return ok ? 0 : 1;
 }

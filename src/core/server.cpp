@@ -10,6 +10,8 @@
 namespace bridge::core {
 
 namespace {
+using Reply = sim::AsyncBatch::Reply;
+
 constexpr std::uint32_t msg(BridgeMsg m) { return static_cast<std::uint32_t>(m); }
 constexpr std::uint32_t msg(efs::MsgType m) {
   return static_cast<std::uint32_t>(m);
@@ -211,40 +213,30 @@ void BridgeServer::handle_create(Wire& wire, const sim::Envelope& env) {
   // them, but the initiation and termination are sequential" (§4.5).  Only
   // the disks the file spans need one: a width-w file pays 2w sequential
   // steps, and a full-width file the paper's 2p.
-  efs::CreateRequest lfs_req{record.lfs_file_id};
-  auto payload = util::encode_to_bytes(lfs_req);
+  // With tree_create, an embedded binary tree pays one dispatch and one
+  // reply step per tree level instead of one per LFS.
   auto span = record.placement.lfs_span();
-  std::vector<std::uint64_t> pending;
-  pending.reserve(span.size());
+  std::int64_t levels = 0;
+  sim::SimTime dispatch_each = config_.create_dispatch_cpu;
+  sim::SimTime reply_each = config_.create_reply_cpu;
   if (config_.tree_create) {
-    // Embedded-binary-tree fan-out: initiation cost is one dispatch charge
-    // per tree level rather than one per node.
-    auto levels = static_cast<std::int64_t>(
+    levels = static_cast<std::int64_t>(
         std::ceil(std::log2(double(span.size()) + 1.0)));
-    wire.ctx.charge(config_.create_dispatch_cpu * levels);
-    for (std::uint32_t i : span) {
-      pending.push_back(
-          wire.rpc.call_async(lfs_services_[i], msg(efs::MsgType::kCreate),
-                              payload));
-    }
-    for (auto corr : pending) {
-      auto reply = wire.rpc.wait_reply(corr);
-      if (!reply.is_ok()) return sim::send_reply(wire.ctx, env, reply.status());
-    }
-    wire.ctx.charge(config_.create_reply_cpu * levels);
-  } else {
-    for (std::uint32_t i : span) {
-      wire.ctx.charge(config_.create_dispatch_cpu);
-      pending.push_back(
-          wire.rpc.call_async(lfs_services_[i], msg(efs::MsgType::kCreate),
-                              payload));
-    }
-    for (auto corr : pending) {
-      auto reply = wire.rpc.wait_reply(corr);
-      if (!reply.is_ok()) return sim::send_reply(wire.ctx, env, reply.status());
-      wire.ctx.charge(config_.create_reply_cpu);
-    }
+    dispatch_each = reply_each = sim::SimTime{0};
   }
+  auto payload = util::encode_to_bytes(efs::CreateRequest{record.lfs_file_id});
+  sim::AsyncBatch batch(wire.rpc);
+  wire.ctx.charge(config_.create_dispatch_cpu * levels);
+  for (std::uint32_t i : span) {
+    wire.ctx.charge(dispatch_each);
+    batch.call(lfs_services_[i], msg(efs::MsgType::kCreate), payload);
+  }
+  auto created = batch.wait_each([&](std::size_t, const Reply& reply) {
+    if (reply.is_ok()) wire.ctx.charge(reply_each);
+    return reply.status();
+  });
+  if (!created.is_ok()) return sim::send_reply(wire.ctx, env, created);
+  wire.ctx.charge(config_.create_reply_cpu * levels);
 
   BRIDGE_RACE_WRITE(wire.ctx, &directory_, 0, "bridge.directory");
   id_index_[record.id] = record.name;
@@ -256,80 +248,81 @@ void BridgeServer::handle_create(Wire& wire, const sim::Envelope& env) {
 void BridgeServer::handle_delete(Wire& wire, const sim::Envelope& env) {
   util::Reader r(env.payload);
   auto req = DeleteFileRequest::decode(r);
-  FileRecord* record = find_by_name(req.name);
-  if (record == nullptr) {
-    return sim::send_reply(wire.ctx, env, util::not_found("file " + req.name));
-  }
-  // "The Delete operation runs in parallel on all instances of the LFS"
-  // (§4.5): dispatch to every LFS holding a constituent, then wait.
-  efs::DeleteRequest lfs_req{record->lfs_file_id};
-  auto payload = util::encode_to_bytes(lfs_req);
-  std::vector<std::uint64_t> pending;
-  for (std::uint32_t i : record->placement.lfs_span()) {
-    pending.push_back(wire.rpc.call_async(
-        lfs_services_[i], msg(efs::MsgType::kDelete), payload));
-  }
-  for (auto corr : pending) {
-    auto reply = wire.rpc.wait_reply(corr);
-    if (!reply.is_ok()) return sim::send_reply(wire.ctx, env, reply.status());
-  }
-  BRIDGE_RACE_WRITE(wire.ctx, &directory_, 0, "bridge.directory");
-  id_index_.erase(record->id);
-  directory_.erase(req.name);
-  sim::send_reply(wire.ctx, env, util::ok_status());
+  sim::send_reply(wire.ctx, env, remove_files(wire, {&req.name, 1}));
 }
 
 void BridgeServer::handle_delete_many(Wire& wire, const sim::Envelope& env) {
   util::Reader r(env.payload);
   auto req = DeleteManyRequest::decode(r);
-  // Dispatch the LFS deletes for EVERY file before waiting for any, so the
-  // per-LFS work of different files overlaps (each LFS serves its queue
-  // back to back instead of idling between sequential Delete commands).
-  std::vector<std::uint64_t> pending;
-  for (const auto& name : req.names) {
-    FileRecord* record = find_by_name(name);
-    if (record == nullptr) {
-      return sim::send_reply(wire.ctx, env, util::not_found("file " + name));
-    }
-    efs::DeleteRequest lfs_req{record->lfs_file_id};
-    auto payload = util::encode_to_bytes(lfs_req);
+  sim::send_reply(wire.ctx, env, remove_files(wire, req.names));
+}
+
+util::Status BridgeServer::remove_files(Wire& wire,
+                                        std::span<const std::string> names) {
+  // Resolve every name before any LFS I/O, so an unknown name deletes
+  // nothing.
+  std::vector<const FileRecord*> records;
+  records.reserve(names.size());
+  for (const auto& name : names) {
+    const FileRecord* record = find_by_name(name);
+    if (record == nullptr) return util::not_found("file " + name);
+    records.push_back(record);
+  }
+  // "The Delete operation runs in parallel on all instances of the LFS"
+  // (§4.5).  Every constituent delete of every file is in flight before any
+  // is waited for, so the per-LFS work of different files overlaps.
+  sim::AsyncBatch batch(wire.rpc);
+  for (const FileRecord* record : records) {
+    auto payload =
+        util::encode_to_bytes(efs::DeleteRequest{record->lfs_file_id});
     for (std::uint32_t i : record->placement.lfs_span()) {
-      pending.push_back(wire.rpc.call_async(
-          lfs_services_[i], msg(efs::MsgType::kDelete), payload));
+      batch.call(lfs_services_[i], msg(efs::MsgType::kDelete), payload);
     }
   }
-  for (auto corr : pending) {
-    auto reply = wire.rpc.wait_reply(corr);
-    if (!reply.is_ok()) return sim::send_reply(wire.ctx, env, reply.status());
-  }
+  // A constituent that an earlier, partly failed Delete already removed
+  // answers kNotFound.  It is gone either way, so a retry completes.
+  auto removed = batch.wait_each([](std::size_t, const Reply& reply) {
+    if (reply.status().code() == util::ErrorCode::kNotFound) {
+      return util::ok_status();
+    }
+    return reply.status();
+  });
+  if (!removed.is_ok()) return removed;
   BRIDGE_RACE_WRITE(wire.ctx, &directory_, 0, "bridge.directory");
-  for (const auto& name : req.names) {
-    FileRecord* record = find_by_name(name);
-    if (record != nullptr) {
+  for (const auto& name : names) {
+    if (const FileRecord* record = find_by_name(name)) {
       id_index_.erase(record->id);
       directory_.erase(name);
     }
   }
-  sim::send_reply(wire.ctx, env, util::ok_status());
+  return util::ok_status();
+}
+
+util::Result<std::vector<efs::InfoResponse>> BridgeServer::lfs_infos(
+    Wire& wire, const FileRecord& record, std::span<const std::uint32_t> lfss) {
+  auto payload = util::encode_to_bytes(efs::InfoRequest{record.lfs_file_id});
+  sim::AsyncBatch batch(wire.rpc);
+  for (std::uint32_t lfs : lfss) {
+    batch.call(lfs_services_[lfs], msg(efs::MsgType::kInfo), payload);
+  }
+  std::vector<efs::InfoResponse> infos;
+  infos.reserve(lfss.size());
+  auto st = batch.wait_each([&](std::size_t, const Reply& reply) {
+    infos.push_back(util::decode_from_bytes<efs::InfoResponse>(reply.value()));
+    return util::ok_status();
+  });
+  if (!st.is_ok()) return st;
+  return infos;
 }
 
 util::Status BridgeServer::refresh_size(Wire& wire, FileRecord& record) {
   // Tools append to LFS files directly, so the authoritative size is the sum
   // of the constituent sizes ("initial reads of file header and directory
   // information" are part of what Open pays for, §4.5).
-  efs::InfoRequest info_req{record.lfs_file_id};
-  auto payload = util::encode_to_bytes(info_req);
-  std::vector<std::uint64_t> pending;
-  for (std::uint32_t i : record.placement.lfs_span()) {
-    pending.push_back(wire.rpc.call_async(
-        lfs_services_[i], msg(efs::MsgType::kInfo), payload));
-  }
+  auto infos = lfs_infos(wire, record, record.placement.lfs_span());
+  if (!infos.is_ok()) return infos.status();
   std::uint64_t total = 0;
-  for (auto corr : pending) {
-    auto reply = wire.rpc.wait_reply(corr);
-    if (!reply.is_ok()) return reply.status();
-    total += util::decode_from_bytes<efs::InfoResponse>(reply.value()).size_blocks;
-  }
+  for (const auto& info : infos.value()) total += info.size_blocks;
   BRIDGE_RACE_WRITE(wire.ctx, &kPlacementRaceAnchor, record.lfs_file_id,
                     "bridge.placement");
   record.placement.set_size_closed_form(total);
@@ -413,27 +406,31 @@ util::Result<std::vector<std::vector<std::byte>>> BridgeServer::read_run(
       continue;
     }
     for (std::size_t j = 0; j < group.run_pos.size(); ++j) {
-      std::uint64_t n = first + group.run_pos[j];
-      auto unwrapped = unwrap_block(payloads.value()[j]);
-      if (!unwrapped.is_ok()) {
-        if (first_error.is_ok()) first_error = unwrapped.status();
+      auto data = forward_block(wire, record, first + group.run_pos[j],
+                                payloads.value()[j]);
+      if (!data.is_ok()) {
+        if (first_error.is_ok()) first_error = data.status();
         continue;
       }
-      if (unwrapped.value().header.global_block_no != n ||
-          unwrapped.value().header.file_id != record.lfs_file_id) {
-        if (first_error.is_ok()) {
-          first_error =
-              util::corrupt("Bridge header does not match requested block");
-        }
-        continue;
-      }
-      wire.ctx.charge(config_.forward_cpu);
-      ++stats_.blocks_forwarded;
-      out[group.run_pos[j]] = std::move(unwrapped.value().user_data);
+      out[group.run_pos[j]] = std::move(data).value();
     }
   }
   if (!first_error.is_ok()) return first_error;
   return out;
+}
+
+util::Result<std::vector<std::byte>> BridgeServer::forward_block(
+    Wire& wire, const FileRecord& record, std::uint64_t n,
+    std::span<const std::byte> lfs_block) {
+  auto unwrapped = unwrap_block(lfs_block);
+  if (!unwrapped.is_ok()) return unwrapped.status();
+  if (unwrapped.value().header.global_block_no != n ||
+      unwrapped.value().header.file_id != record.lfs_file_id) {
+    return util::corrupt("Bridge header does not match requested block");
+  }
+  wire.ctx.charge(config_.forward_cpu);
+  ++stats_.blocks_forwarded;
+  return std::move(unwrapped.value().user_data);
 }
 
 util::Status BridgeServer::write_run(
@@ -515,28 +512,20 @@ util::Status BridgeServer::write_run(
     if (group.appends > 0) grows = true;
   }
   if (grows && involved >= 2) {
-    sim::AsyncBatch preflight(wire.rpc);
-    std::vector<std::uint32_t> preflight_lfs;
-    efs::InfoRequest info_req{record.lfs_file_id};
-    auto info_payload = util::encode_to_bytes(info_req);
+    std::vector<std::uint32_t> appending;
     for (std::uint32_t lfs = 0; lfs < groups.size(); ++lfs) {
-      if (groups[lfs].appends == 0) continue;
-      preflight.call(lfs_services_[lfs], msg(efs::MsgType::kInfo),
-                     info_payload);
-      preflight_lfs.push_back(lfs);
+      if (groups[lfs].appends > 0) appending.push_back(lfs);
     }
-    auto infos = preflight.wait_all();
-    for (std::size_t b = 0; b < infos.size(); ++b) {
-      if (!infos[b].is_ok()) {
+    auto infos = lfs_infos(wire, record, appending);
+    if (!infos.is_ok()) {
+      rollback();
+      return infos.status();
+    }
+    for (std::size_t k = 0; k < appending.size(); ++k) {
+      if (infos.value()[k].free_blocks < groups[appending[k]].appends) {
         rollback();
-        return infos[b].status();
-      }
-      auto info = util::decode_from_bytes<efs::InfoResponse>(infos[b].value());
-      if (info.free_blocks < groups[preflight_lfs[b]].appends) {
-        rollback();
-        return util::out_of_space(
-            "LFS " + std::to_string(preflight_lfs[b]) +
-            " cannot hold this run's appends");
+        return util::out_of_space("LFS " + std::to_string(appending[k]) +
+                                  " cannot hold this run's appends");
       }
     }
   }
@@ -578,66 +567,118 @@ util::Status BridgeServer::write_run(
   return util::ok_status();
 }
 
-util::Result<std::vector<std::byte>> BridgeServer::read_block(
-    Wire& wire, FileRecord& record, std::uint64_t n) {
-  auto run = read_run(wire, record, n, 1);
-  if (!run.is_ok()) return run.status();
-  return std::move(run.value()[0]);
-}
+// Each single-block naive op is its run twin with a run of one; the wire
+// ops stay as the paper's naive view names them.
 
-util::Status BridgeServer::write_block(Wire& wire, FileRecord& record,
-                                       std::uint64_t n,
-                                       std::span<const std::byte> user_data) {
-  std::vector<std::vector<std::byte>> one;
-  one.emplace_back(user_data.begin(), user_data.end());
-  return write_run(wire, record, n, one);
+util::Result<SeqReadManyResponse> BridgeServer::seq_read(
+    Wire& wire, std::uint64_t session_id, std::uint32_t max_blocks) {
+  auto found = find_session(session_id);
+  if (!found.is_ok()) return found.status();
+  auto [session, record] = found.value();
+  if (max_blocks == 0) return util::invalid_argument("empty read run");
+  SeqReadManyResponse resp;
+  resp.first_block_no = session.read_cursor;
+  std::uint64_t size = record.placement.size_blocks();
+  if (session.read_cursor >= size) {
+    resp.eof = true;
+    return resp;
+  }
+  std::uint32_t count = static_cast<std::uint32_t>(std::min<std::uint64_t>(
+      std::min<std::uint64_t>(max_blocks, kMaxRunBlocks),
+      size - session.read_cursor));
+  auto run = read_run(wire, record, session.read_cursor, count);
+  // On any failure the cursor is untouched: the client can fall back to
+  // single-block reads from exactly where it stood.
+  if (!run.is_ok()) return run.status();
+  resp.blocks = std::move(run).value();
+  session.read_cursor += count;
+  resp.eof = session.read_cursor >= size;
+  return resp;
 }
 
 void BridgeServer::handle_seq_read(Wire& wire, const sim::Envelope& env) {
   util::Reader r(env.payload);
   auto req = SeqReadRequest::decode(r);
-  auto found = find_session(req.session);
-  if (!found.is_ok()) return sim::send_reply(wire.ctx, env, found.status());
-  auto [session, record] = found.value();
+  auto run = seq_read(wire, req.session, 1);
+  if (!run.is_ok()) return sim::send_reply(wire.ctx, env, run.status());
+  // A single-block read reports eof only when it returns no block.
   SeqReadResponse resp;
-  if (session.read_cursor >= record.placement.size_blocks()) {
-    resp.eof = true;
-    resp.block_no = session.read_cursor;
-    return sim::send_reply(wire.ctx, env, util::ok_status(),
-                           util::encode_to_bytes(resp));
-  }
-  auto data = read_block(wire, record, session.read_cursor);
-  if (!data.is_ok()) return sim::send_reply(wire.ctx, env, data.status());
-  resp.block_no = session.read_cursor++;
-  resp.data = std::move(data).value();
+  resp.block_no = run.value().first_block_no;
+  resp.eof = run.value().blocks.empty();
+  if (!resp.eof) resp.data = std::move(run.value().blocks[0]);
   sim::send_reply(wire.ctx, env, util::ok_status(), util::encode_to_bytes(resp));
 }
 
-void BridgeServer::handle_random_read(Wire& wire, const sim::Envelope& env) {
+void BridgeServer::handle_seq_read_many(Wire& wire, const sim::Envelope& env) {
   util::Reader r(env.payload);
-  auto req = RandomReadRequest::decode(r);
-  FileRecord* record = find_by_id(req.id);
-  if (record == nullptr) {
-    return sim::send_reply(wire.ctx, env, util::not_found("no such file id"));
+  auto req = SeqReadManyRequest::decode(r);
+  auto run = seq_read(wire, req.session, req.max_blocks);
+  if (!run.is_ok()) return sim::send_reply(wire.ctx, env, run.status());
+  sim::send_reply(wire.ctx, env, util::ok_status(),
+                  util::encode_to_bytes(run.value()));
+}
+
+util::Result<std::uint64_t> BridgeServer::seq_write(
+    Wire& wire, std::uint64_t session_id,
+    std::span<const std::vector<std::byte>> blocks) {
+  auto found = find_session(session_id);
+  if (!found.is_ok()) return found.status();
+  auto [session, record] = found.value();
+  if (blocks.empty() || blocks.size() > kMaxRunBlocks) {
+    return util::invalid_argument("write run must move 1..256 blocks");
   }
-  auto data = read_block(wire, *record, req.block_no);
-  if (!data.is_ok()) return sim::send_reply(wire.ctx, env, data.status());
-  RandomReadResponse resp{std::move(data).value()};
-  sim::send_reply(wire.ctx, env, util::ok_status(), util::encode_to_bytes(resp));
+  std::uint64_t first = session.write_cursor;
+  // write_run rolls the file size back on failure; the cursor stays put too.
+  if (auto st = write_run(wire, record, first, blocks); !st.is_ok()) return st;
+  session.write_cursor += blocks.size();
+  return first;
 }
 
 void BridgeServer::handle_seq_write(Wire& wire, const sim::Envelope& env) {
   util::Reader r(env.payload);
   auto req = SeqWriteRequest::decode(r);
-  auto found = find_session(req.session);
-  if (!found.is_ok()) return sim::send_reply(wire.ctx, env, found.status());
-  auto [session, record] = found.value();
-  std::uint64_t n = session.write_cursor;
-  if (auto st = write_block(wire, record, n, req.data); !st.is_ok()) {
-    return sim::send_reply(wire.ctx, env, st);
+  auto first = seq_write(wire, req.session, {&req.data, 1});
+  if (!first.is_ok()) return sim::send_reply(wire.ctx, env, first.status());
+  SeqWriteResponse resp{first.value()};
+  sim::send_reply(wire.ctx, env, util::ok_status(), util::encode_to_bytes(resp));
+}
+
+void BridgeServer::handle_seq_write_many(Wire& wire, const sim::Envelope& env) {
+  util::Reader r(env.payload);
+  auto req = SeqWriteManyRequest::decode(r);
+  auto first = seq_write(wire, req.session, req.blocks);
+  if (!first.is_ok()) return sim::send_reply(wire.ctx, env, first.status());
+  SeqWriteManyResponse resp{first.value(),
+                            static_cast<std::uint32_t>(req.blocks.size())};
+  sim::send_reply(wire.ctx, env, util::ok_status(), util::encode_to_bytes(resp));
+}
+
+util::Result<std::vector<std::vector<std::byte>>> BridgeServer::random_read(
+    Wire& wire, BridgeFileId id, std::uint64_t first, std::uint32_t count) {
+  FileRecord* record = find_by_id(id);
+  if (record == nullptr) return util::not_found("no such file id");
+  if (count == 0 || count > kMaxRunBlocks) {
+    return util::invalid_argument("read run must move 1..256 blocks");
   }
-  ++session.write_cursor;
-  SeqWriteResponse resp{n};
+  return read_run(wire, *record, first, count);
+}
+
+void BridgeServer::handle_random_read(Wire& wire, const sim::Envelope& env) {
+  util::Reader r(env.payload);
+  auto req = RandomReadRequest::decode(r);
+  auto run = random_read(wire, req.id, req.block_no, 1);
+  if (!run.is_ok()) return sim::send_reply(wire.ctx, env, run.status());
+  RandomReadResponse resp{std::move(run.value()[0])};
+  sim::send_reply(wire.ctx, env, util::ok_status(), util::encode_to_bytes(resp));
+}
+
+void BridgeServer::handle_random_read_many(Wire& wire,
+                                           const sim::Envelope& env) {
+  util::Reader r(env.payload);
+  auto req = RandomReadManyRequest::decode(r);
+  auto run = random_read(wire, req.id, req.first_block, req.count);
+  if (!run.is_ok()) return sim::send_reply(wire.ctx, env, run.status());
+  RandomReadManyResponse resp{std::move(run).value()};
   sim::send_reply(wire.ctx, env, util::ok_status(), util::encode_to_bytes(resp));
 }
 
@@ -652,81 +693,8 @@ void BridgeServer::handle_random_write(Wire& wire, const sim::Envelope& env) {
     return sim::send_reply(wire.ctx, env,
                            util::invalid_argument("write would leave a gap"));
   }
-  if (auto st = write_block(wire, *record, req.block_no, req.data);
-      !st.is_ok()) {
-    return sim::send_reply(wire.ctx, env, st);
-  }
-  sim::send_reply(wire.ctx, env, util::ok_status());
-}
-
-void BridgeServer::handle_seq_read_many(Wire& wire, const sim::Envelope& env) {
-  util::Reader r(env.payload);
-  auto req = SeqReadManyRequest::decode(r);
-  auto found = find_session(req.session);
-  if (!found.is_ok()) return sim::send_reply(wire.ctx, env, found.status());
-  auto [session, record] = found.value();
-  if (req.max_blocks == 0) {
-    return sim::send_reply(wire.ctx, env,
-                           util::invalid_argument("empty read run"));
-  }
-  SeqReadManyResponse resp;
-  std::uint64_t size = record.placement.size_blocks();
-  if (session.read_cursor >= size) {
-    resp.eof = true;
-    resp.first_block_no = session.read_cursor;
-    return sim::send_reply(wire.ctx, env, util::ok_status(),
-                           util::encode_to_bytes(resp));
-  }
-  std::uint32_t count = static_cast<std::uint32_t>(std::min<std::uint64_t>(
-      std::min<std::uint64_t>(req.max_blocks, kMaxRunBlocks),
-      size - session.read_cursor));
-  auto run = read_run(wire, record, session.read_cursor, count);
-  // On any failure the cursor is untouched: the client can fall back to
-  // single-block reads from exactly where it stood.
-  if (!run.is_ok()) return sim::send_reply(wire.ctx, env, run.status());
-  resp.first_block_no = session.read_cursor;
-  resp.blocks = std::move(run).value();
-  session.read_cursor += count;
-  resp.eof = session.read_cursor >= size;
-  sim::send_reply(wire.ctx, env, util::ok_status(), util::encode_to_bytes(resp));
-}
-
-void BridgeServer::handle_seq_write_many(Wire& wire, const sim::Envelope& env) {
-  util::Reader r(env.payload);
-  auto req = SeqWriteManyRequest::decode(r);
-  auto found = find_session(req.session);
-  if (!found.is_ok()) return sim::send_reply(wire.ctx, env, found.status());
-  auto [session, record] = found.value();
-  if (req.blocks.empty() || req.blocks.size() > kMaxRunBlocks) {
-    return sim::send_reply(
-        wire.ctx, env, util::invalid_argument("write run must move 1..256 blocks"));
-  }
-  std::uint64_t first = session.write_cursor;
-  if (auto st = write_run(wire, record, first, req.blocks); !st.is_ok()) {
-    // write_run rolled the file size back; the cursor stays put too.
-    return sim::send_reply(wire.ctx, env, st);
-  }
-  session.write_cursor += req.blocks.size();
-  SeqWriteManyResponse resp{first, static_cast<std::uint32_t>(req.blocks.size())};
-  sim::send_reply(wire.ctx, env, util::ok_status(), util::encode_to_bytes(resp));
-}
-
-void BridgeServer::handle_random_read_many(Wire& wire,
-                                           const sim::Envelope& env) {
-  util::Reader r(env.payload);
-  auto req = RandomReadManyRequest::decode(r);
-  FileRecord* record = find_by_id(req.id);
-  if (record == nullptr) {
-    return sim::send_reply(wire.ctx, env, util::not_found("no such file id"));
-  }
-  if (req.count == 0 || req.count > kMaxRunBlocks) {
-    return sim::send_reply(
-        wire.ctx, env, util::invalid_argument("read run must move 1..256 blocks"));
-  }
-  auto run = read_run(wire, *record, req.first_block, req.count);
-  if (!run.is_ok()) return sim::send_reply(wire.ctx, env, run.status());
-  RandomReadManyResponse resp{std::move(run).value()};
-  sim::send_reply(wire.ctx, env, util::ok_status(), util::encode_to_bytes(resp));
+  sim::send_reply(wire.ctx, env,
+                  write_run(wire, *record, req.block_no, {&req.data, 1}));
 }
 
 void BridgeServer::handle_seq_seek(Wire& wire, const sim::Envelope& env) {
@@ -787,30 +755,23 @@ void BridgeServer::handle_truncate(Wire& wire, const sim::Envelope& env) {
 
   // Current constituent sizes, gathered from the involved LFSs in one
   // concurrent round (tools may have appended past our record).
-  efs::InfoRequest info_req{record->lfs_file_id};
-  auto info_payload = util::encode_to_bytes(info_req);
   std::vector<std::uint32_t> involved;
-  sim::AsyncBatch info_batch(wire.rpc);
   for (std::uint32_t i = 0; i < num_lfs(); ++i) {
-    if (removed[i] == 0) continue;
-    involved.push_back(i);
-    info_batch.call(lfs_services_[i], msg(efs::MsgType::kInfo), info_payload);
+    if (removed[i] != 0) involved.push_back(i);
   }
-  auto infos = info_batch.wait_all();
+  auto infos = lfs_infos(wire, *record, involved);
+  if (!infos.is_ok()) return sim::send_reply(wire.ctx, env, infos.status());
   std::vector<std::uint32_t> new_local(involved.size(), 0);
   for (std::size_t k = 0; k < involved.size(); ++k) {
-    if (!infos[k].is_ok()) {
-      return sim::send_reply(wire.ctx, env, infos[k].status());
-    }
-    auto info = util::decode_from_bytes<efs::InfoResponse>(infos[k].value());
+    std::uint32_t size_blocks = infos.value()[k].size_blocks;
     std::uint64_t rm = removed[involved[k]];
-    if (info.size_blocks < rm) {
+    if (size_blocks < rm) {
       return sim::send_reply(
           wire.ctx, env,
           util::corrupt("constituent on LFS " + std::to_string(involved[k]) +
                         " shorter than the tail being truncated"));
     }
-    new_local[k] = info.size_blocks - static_cast<std::uint32_t>(rm);
+    new_local[k] = size_blocks - static_cast<std::uint32_t>(rm);
   }
 
   // Fan the constituent truncates out concurrently.  EFS kTruncate to a
@@ -891,44 +852,40 @@ void BridgeServer::handle_parallel_read(Wire& wire, const sim::Envelope& env) {
         std::min<std::uint32_t>(std::min<std::uint64_t>(t - delivered, p),
                                 size - job.cursor);
     ++stats_.parallel_rounds;
-    struct Pending {
-      std::uint64_t corr;
-      std::uint64_t global_no;
-      std::uint32_t worker;
-    };
-    std::vector<Pending> pending;
-    pending.reserve(round);
+    // Place the whole round before any I/O, then send one one-block
+    // kReadMany per block: per-block requests let each block be forwarded
+    // as soon as its reply is in.
+    std::vector<Placement> placed;
+    placed.reserve(round);
     for (std::uint32_t i = 0; i < round; ++i) {
-      std::uint64_t n = job.cursor + i;
-      auto placed = record->placement.place(n);
-      if (!placed.is_ok()) return sim::send_reply(wire.ctx, env, placed.status());
-      efs::ReadManyRequest lfs_req{record->lfs_file_id,
-                                   {placed.value().local_block}};
-      pending.push_back(Pending{
-          wire.rpc.call_async(lfs_services_[placed.value().lfs_index],
-                              msg(efs::MsgType::kReadMany),
-                              util::encode_to_bytes(lfs_req)),
-          n, delivered + i});
+      auto place = record->placement.place(job.cursor + i);
+      if (!place.is_ok()) return sim::send_reply(wire.ctx, env, place.status());
+      placed.push_back(place.value());
     }
-    for (const auto& item : pending) {
-      auto reply = wire.rpc.wait_reply(item.corr);
-      if (!reply.is_ok()) return sim::send_reply(wire.ctx, env, reply.status());
+    sim::AsyncBatch batch(wire.rpc);
+    for (const Placement& block : placed) {
+      efs::ReadManyRequest lfs_req{record->lfs_file_id, {block.local_block}};
+      batch.call(lfs_services_[block.lfs_index], msg(efs::MsgType::kReadMany),
+                 util::encode_to_bytes(lfs_req));
+    }
+    std::vector<WorkerData> deliveries(round);
+    auto st = batch.wait_each([&](std::size_t i, const Reply& reply) {
       auto blocks = efs::read_many_blocks(reply.value(), 1);
-      if (!blocks.is_ok()) return sim::send_reply(wire.ctx, env, blocks.status());
-      auto unwrapped = unwrap_block(blocks.value()[0]);
-      if (!unwrapped.is_ok()) {
-        return sim::send_reply(wire.ctx, env, unwrapped.status());
-      }
-      wire.ctx.charge(config_.forward_cpu);
-      ++stats_.blocks_forwarded;
-      WorkerData delivery;
-      delivery.eof = false;
-      delivery.global_block_no = item.global_no;
-      delivery.data = std::move(unwrapped.value().user_data);
+      if (!blocks.is_ok()) return blocks.status();
+      std::uint64_t n = job.cursor + i;
+      auto data = forward_block(wire, *record, n, blocks.value()[0]);
+      if (!data.is_ok()) return data.status();
+      deliveries[i].global_block_no = n;
+      deliveries[i].data = std::move(data).value();
+      return util::ok_status();
+    });
+    if (!st.is_ok()) return sim::send_reply(wire.ctx, env, st);
+    // Workers receive the round only once every block of it is in.
+    for (std::uint32_t i = 0; i < round; ++i) {
       sim::Envelope note;
       note.type = msg(BridgeMsg::kWorkerData);
-      note.payload = util::encode_to_bytes(delivery);
-      sim::post(wire.ctx, job.workers[item.worker], std::move(note));
+      note.payload = util::encode_to_bytes(deliveries[i]);
+      sim::post(wire.ctx, job.workers[delivered + i], std::move(note));
     }
     delivered += round;
     job.cursor += round;
@@ -974,56 +931,26 @@ void BridgeServer::handle_parallel_write(Wire& wire, const sim::Envelope& env) {
     std::uint32_t round = std::min(t - next_worker, p);
     ++stats_.parallel_rounds;
     // Solicit one block from each worker in this round.
-    std::vector<std::uint64_t> solicitations;
-    solicitations.reserve(round);
+    std::uint64_t first = record->placement.size_blocks();
+    sim::AsyncBatch batch(wire.rpc);
     for (std::uint32_t i = 0; i < round; ++i) {
-      WorkerGiveRequest give{record->placement.size_blocks() + i};
-      solicitations.push_back(
-          wire.rpc.call_async(job.workers[next_worker + i],
-                              msg(BridgeMsg::kWorkerGive),
-                              util::encode_to_bytes(give)));
+      WorkerGiveRequest give{first + i};
+      batch.call(job.workers[next_worker + i], msg(BridgeMsg::kWorkerGive),
+                 util::encode_to_bytes(give));
     }
+    // Keep the prefix before the first drained worker so block order stays
+    // gap-free; the replies after it are drained and dropped.
     std::vector<std::vector<std::byte>> blocks;
-    for (auto corr : solicitations) {
-      auto reply = wire.rpc.wait_reply(corr);
-      if (!reply.is_ok()) return sim::send_reply(wire.ctx, env, reply.status());
+    auto st = batch.wait_each([&](std::size_t, const Reply& reply) {
       auto give = util::decode_from_bytes<WorkerGiveResponse>(reply.value());
-      if (!give.has_data) {
-        // Stop at the first drained worker to keep block order gap-free.
-        job.writers_drained = true;
-        break;
-      }
-      blocks.push_back(std::move(give.data));
-    }
-    // Write the collected prefix; consecutive appends hit distinct LFSs
-    // under round-robin, so fire them all then wait.
-    std::vector<std::uint64_t> writes;
-    writes.reserve(blocks.size());
-    for (auto& data : blocks) {
-      std::uint64_t n = record->placement.size_blocks();
-      auto placed = record->placement.append();
-      if (!placed.is_ok()) return sim::send_reply(wire.ctx, env, placed.status());
-      BridgeBlockHeader header;
-      header.file_id = record->lfs_file_id;
-      header.global_block_no = n;
-      header.width = record->placement.width();
-      header.start_lfs = record->placement.start_lfs();
-      auto wrapped = wrap_block(header, data);
-      if (!wrapped.is_ok()) {
-        return sim::send_reply(wire.ctx, env, wrapped.status());
-      }
-      efs::WriteRequest lfs_req{record->lfs_file_id, placed.value().local_block,
-                                std::move(wrapped).value()};
-      writes.push_back(
-          wire.rpc.call_async(lfs_services_[placed.value().lfs_index],
-                              msg(efs::MsgType::kWrite),
-                              util::encode_to_bytes(lfs_req)));
-      wire.ctx.charge(config_.forward_cpu);
-      ++stats_.blocks_forwarded;
-    }
-    for (auto corr : writes) {
-      auto reply = wire.rpc.wait_reply(corr);
-      if (!reply.is_ok()) return sim::send_reply(wire.ctx, env, reply.status());
+      if (!give.has_data) job.writers_drained = true;
+      if (!job.writers_drained) blocks.push_back(std::move(give.data));
+      return util::ok_status();
+    });
+    if (!st.is_ok()) return sim::send_reply(wire.ctx, env, st);
+    if (auto appended = write_run(wire, *record, first, blocks);
+        !appended.is_ok()) {
+      return sim::send_reply(wire.ctx, env, appended);
     }
     written += static_cast<std::uint32_t>(blocks.size());
     next_worker += round;

@@ -199,16 +199,35 @@ class BridgeServer {
   util::Status write_run(Wire& wire, FileRecord& record, std::uint64_t first,
                          std::span<const std::vector<std::byte>> user_blocks);
 
-  /// Read global block `n` of `record` (single-block wrapper over read_run).
-  util::Result<std::vector<std::byte>> read_block(Wire& wire,
-                                                  FileRecord& record,
-                                                  std::uint64_t n);
-  /// Write user payload as global block `n` (append or overwrite;
-  /// single-block wrapper over write_run).
-  util::Status write_block(Wire& wire, FileRecord& record, std::uint64_t n,
-                           std::span<const std::byte> user_data);
+  /// Unwrap the LFS block read for global block `n` of `record`, check that
+  /// its Bridge header names that block, and charge forwarding it.  Returns
+  /// the user payload.
+  util::Result<std::vector<std::byte>> forward_block(
+      Wire& wire, const FileRecord& record, std::uint64_t n,
+      std::span<const std::byte> lfs_block);
+  /// One concurrent kInfo round over `record`'s constituents on `lfss`;
+  /// element k answers `lfss[k]`.  Serves Open, write_run and truncate.
+  util::Result<std::vector<efs::InfoResponse>> lfs_infos(
+      Wire& wire, const FileRecord& record, std::span<const std::uint32_t> lfss);
   /// Refresh a record's size from the LFS instances (used by Open).
   util::Status refresh_size(Wire& wire, FileRecord& record);
+  /// Delete and DeleteMany: resolve every name, delete all their
+  /// constituents in one batch (an LFS kNotFound counts as already deleted,
+  /// so a partly failed Delete can be retried), then drop the entries.
+  util::Status remove_files(Wire& wire, std::span<const std::string> names);
+
+  /// Bodies shared by each single-block naive op and its run twin: read up
+  /// to `max_blocks` at a session's read cursor, append `blocks` at its
+  /// write cursor (returns the first block number), and read `count` blocks
+  /// of a file by id.
+  util::Result<SeqReadManyResponse> seq_read(Wire& wire,
+                                             std::uint64_t session_id,
+                                             std::uint32_t max_blocks);
+  util::Result<std::uint64_t> seq_write(
+      Wire& wire, std::uint64_t session_id,
+      std::span<const std::vector<std::byte>> blocks);
+  util::Result<std::vector<std::vector<std::byte>>> random_read(
+      Wire& wire, BridgeFileId id, std::uint64_t first, std::uint32_t count);
 
   /// Resolve a session id to its session and file: "no such session" when
   /// the id is unknown, "file deleted: <name>" when its file is gone.

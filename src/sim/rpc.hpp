@@ -223,11 +223,14 @@ class RpcClient {
 /// hand-rolling correlation bookkeeping at every call site.
 ///
 /// Replies are surfaced in ISSUE order regardless of arrival order (the
-/// underlying wait_reply stashes early arrivals).  wait_all() always drains
-/// every outstanding reply, so an error in one call never leaves stray
-/// replies queued against the client for a later operation to trip over.
+/// underlying wait_reply stashes early arrivals).  wait_each() is the one
+/// drain loop: it always drains every outstanding reply, so an error in one
+/// call never leaves stray replies queued against the client for a later
+/// operation to trip over.
 class AsyncBatch {
  public:
+  using Reply = util::Result<std::vector<std::byte>>;
+
   explicit AsyncBatch(RpcClient& rpc) : rpc_(&rpc) {}
 
   /// Issue one call; returns its index within the batch.
@@ -241,28 +244,48 @@ class AsyncBatch {
     return correlations_.size();
   }
 
-  /// Block until every reply has arrived; element i is call i's result.
-  std::vector<util::Result<std::vector<std::byte>>> wait_all() {
+  /// Drain every reply in issue order, handing call i's result to
+  /// `on_reply(i, reply)` as soon as it is in, so per-reply work overlaps
+  /// the wait for later replies.  `on_reply` returns the status it makes of
+  /// the reply; a util::StatusError it throws counts as that status.  The
+  /// drain continues past any error, and the first error is returned.
+  template <typename OnReply>
+  util::Status wait_each(OnReply&& on_reply) {
     // One span covering the whole reassembly wait: the gap between the
     // fan-out and the slowest constituent's reply.
     ScopedSpan span(rpc_->context(), "rpc.batch_wait");
-    std::vector<util::Result<std::vector<std::byte>>> results;
-    results.reserve(correlations_.size());
-    for (auto corr : correlations_) {
-      results.push_back(rpc_->wait_reply(corr));
-    }
+    std::vector<std::uint64_t> correlations = std::move(correlations_);
     correlations_.clear();
+    util::Status first = util::ok_status();
+    for (std::size_t i = 0; i < correlations.size(); ++i) {
+      util::Status status = util::ok_status();
+      try {
+        status = on_reply(i, rpc_->wait_reply(correlations[i]));
+      } catch (const util::StatusError& e) {
+        status = e.status();
+      }
+      if (!status.is_ok() && first.is_ok()) first = std::move(status);
+    }
+    return first;
+  }
+
+  /// Block until every reply has arrived; element i is call i's result.
+  std::vector<Reply> wait_all() {
+    std::vector<Reply> results;
+    results.reserve(correlations_.size());
+    // Each error stays in its own element of `results`.
+    (void)wait_each([&](std::size_t, Reply reply) {
+      results.push_back(std::move(reply));
+      return util::ok_status();
+    });
     return results;
   }
 
   /// Drain every reply and report the first error (ok if all succeeded).
   /// For callers that only need success/failure, not the payloads.
   util::Status wait_all_ok() {
-    util::Status first = util::ok_status();
-    for (auto& result : wait_all()) {
-      if (!result.is_ok() && first.is_ok()) first = result.status();
-    }
-    return first;
+    return wait_each(
+        [](std::size_t, const Reply& reply) { return reply.status(); });
   }
 
  private:

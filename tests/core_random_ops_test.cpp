@@ -3,7 +3,10 @@
 // reference model, across distributions and machine sizes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <ostream>
+#include <string>
 
 #include "src/core/instance.hpp"
 #include "src/sim/rng.hpp"
@@ -24,6 +27,15 @@ struct Params {
   std::uint32_t p;
   Distribution distribution;
 };
+
+/// Print a case as its name, e.g. "s14_p4_hashed".  gtest uses this for the
+/// test name and its GetParam() note instead of the struct's raw bytes,
+/// whose padding is indeterminate.
+void PrintTo(const Params& c, std::ostream* os) {
+  std::string dist = distribution_name(c.distribution);
+  std::replace(dist.begin(), dist.end(), '-', '_');
+  *os << "s" << c.seed << "_p" << c.p << "_" << dist;
+}
 
 class BridgeRandomOps : public ::testing::TestWithParam<Params> {};
 
@@ -129,7 +141,8 @@ INSTANTIATE_TEST_SUITE_P(
                       Params{14, 4, Distribution::kHashed},
                       Params{15, 4, Distribution::kChunked},
                       Params{16, 4, Distribution::kLinked},
-                      Params{17, 1, Distribution::kRoundRobin}));
+                      Params{17, 1, Distribution::kRoundRobin}),
+    ::testing::PrintToStringParamName());
 
 }  // namespace
 }  // namespace bridge::core

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
 #include <tuple>
 #include <vector>
 
@@ -29,6 +30,15 @@ struct Params {
   std::uint32_t cache_blocks;
   bool readahead;
 };
+
+/// Print a case as its name, e.g. "s3_c8_ra" (seed 3, 8-block cache,
+/// read-ahead on) or "s4_c8_nora".  gtest uses this for the test name and
+/// its GetParam() note instead of the struct's raw bytes, whose padding is
+/// indeterminate.
+void PrintTo(const Params& c, std::ostream* os) {
+  *os << "s" << c.seed << "_c" << c.cache_blocks
+      << (c.readahead ? "_ra" : "_nora");
+}
 
 class EfsRandomOps : public ::testing::TestWithParam<Params> {};
 
@@ -151,7 +161,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(Params{1, 64, true}, Params{2, 64, true},
                       Params{3, 8, true}, Params{4, 8, false},
                       Params{5, 128, true}, Params{6, 16, false},
-                      Params{7, 4, true}, Params{8, 256, false}));
+                      Params{7, 4, true}, Params{8, 256, false}),
+    ::testing::PrintToStringParamName());
 
 }  // namespace
 }  // namespace bridge::efs

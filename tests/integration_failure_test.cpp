@@ -3,7 +3,10 @@
 // everything recovers after repair.
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "src/core/instance.hpp"
+#include "src/efs/client.hpp"
 #include "src/tools/copy.hpp"
 #include "src/tools/sort/sort_tool.hpp"
 
@@ -182,6 +185,125 @@ TEST(FailureInjection, OtherFilesUnaffectedByRepairedFailure) {
   });
   inst.run();
   EXPECT_EQ(ok, 12);
+}
+
+TEST(FailureInjection, DeleteThatFailsOnADeadLfsCanBeRetried) {
+  // The live LFSs delete their constituents before the dead one fails the
+  // Delete.  After repair the retry must finish the job (those constituents
+  // answer kNotFound) and free the name, not report the file missing.
+  BridgeInstance inst(cfg(4));
+  write_file(inst, "f", 8);
+  inst.lfs(2).disk().fail();
+  inst.run_client("d", [&](sim::Context&, BridgeClient& client) {
+    EXPECT_EQ(client.remove("f").code(), util::ErrorCode::kUnavailable);
+  });
+  inst.run();
+  EXPECT_EQ(inst.server().directory_size(), 1u);
+
+  inst.lfs(2).disk().repair();
+  inst.run_client("d2", [&](sim::Context&, BridgeClient& client) {
+    auto retried = client.remove("f");
+    EXPECT_TRUE(retried.is_ok()) << retried.to_string();
+    auto created = client.create("f");
+    EXPECT_TRUE(created.is_ok()) << created.status().to_string();
+  });
+  inst.run();
+  EXPECT_EQ(inst.server().directory_size(), 1u);
+  EXPECT_TRUE(inst.verify_all_lfs().is_ok());
+}
+
+TEST(FailureInjection, DeleteManyWithAnUnknownNameDeletesNothing) {
+  BridgeInstance inst(cfg(4));
+  write_file(inst, "a", 4);
+  inst.run_client("d", [&](sim::Context&, BridgeClient& client) {
+    EXPECT_EQ(client.remove_many({"a", "missing"}).code(),
+              util::ErrorCode::kNotFound);
+    // "a" is whole: it opens with its size and reads back.
+    auto open = client.open("a");
+    ASSERT_TRUE(open.is_ok()) << open.status().to_string();
+    EXPECT_EQ(open.value().meta.size_blocks, 4u);
+    auto first = client.seq_read(open.value().session);
+    ASSERT_TRUE(first.is_ok()) << first.status().to_string();
+    EXPECT_EQ(first.value().data, record(0));
+    auto removed = client.remove("a");
+    EXPECT_TRUE(removed.is_ok()) << removed.to_string();
+  });
+  inst.run();
+  EXPECT_EQ(inst.server().directory_size(), 0u);
+}
+
+/// Spawn one parallel worker per slot of `workers`, each storing its address
+/// there.  Each answers one solicitation with record(100 + w), or, with
+/// `give` false, idles until the job is done.
+void spawn_workers(BridgeInstance& inst, std::vector<sim::Address>& workers,
+                   bool give) {
+  for (std::uint32_t w = 0; w < workers.size(); ++w) {
+    inst.runtime().spawn(w, "worker" + std::to_string(w),
+                         [&workers, w, give](sim::Context& ctx) {
+                           core::ParallelWorker worker(ctx);
+                           workers[w] = worker.address();
+                           if (give) {
+                             // Returns whether data was given; it always is.
+                             (void)worker.serve_give([w] {
+                               return std::optional(record(100 + w));
+                             });
+                             return;
+                           }
+                           ctx.sleep(sim::seconds(10));
+                         });
+  }
+}
+
+TEST(FailureInjection, FailedParallelWriteRoundLeavesTheSizeAlone) {
+  BridgeInstance inst(cfg(4));
+  write_file(inst, "f", 4);
+  inst.lfs(1).disk().fail();
+  std::vector<sim::Address> workers(4);
+  spawn_workers(inst, workers, /*give=*/true);
+  inst.run_client("controller", [&](sim::Context& ctx, BridgeClient& client) {
+    ctx.sleep(sim::msec(1));
+    auto open = client.open("f");
+    ASSERT_TRUE(open.is_ok()) << open.status().to_string();
+    auto job = client.parallel_open(open.value().session, workers);
+    ASSERT_TRUE(job.is_ok());
+    EXPECT_EQ(client.parallel_write(job.value()).status().code(),
+              util::ErrorCode::kUnavailable);
+    auto listed = client.list("f");
+    ASSERT_TRUE(listed.is_ok());
+    ASSERT_EQ(listed.value().size(), 1u);
+    EXPECT_EQ(listed.value()[0].size_blocks, 4u);
+  });
+  inst.run();
+  ASSERT_FALSE(inst.runtime().scheduler().deadlocked());
+}
+
+TEST(FailureInjection, ParallelReadRejectsABlockInTheWrongSlot) {
+  // Block 4 is a valid LFS block (its checksum holds), copied over block 0's
+  // slot on LFS 0.  Only the Bridge header tells the parallel read that the
+  // slot holds the wrong block.
+  BridgeInstance inst(cfg(4));
+  write_file(inst, "f", 8);
+  std::vector<sim::Address> workers(4);
+  spawn_workers(inst, workers, /*give=*/false);
+  inst.run_client("controller", [&](sim::Context& ctx, BridgeClient& client) {
+    ctx.sleep(sim::msec(1));
+    auto open = client.open("f");
+    ASSERT_TRUE(open.is_ok());
+    auto info = client.get_info();
+    ASSERT_TRUE(info.is_ok());
+    efs::EfsClient lfs0(client.rpc(), info.value().lfs_services[0]);
+    efs::FileId id = open.value().meta.lfs_file_id;
+    auto block4 = lfs0.read_many(id, {1});
+    ASSERT_TRUE(block4.is_ok());
+    ASSERT_TRUE(lfs0.write(id, 0, block4.value().blocks[0]).is_ok());
+
+    auto job = client.parallel_open(open.value().session, workers);
+    ASSERT_TRUE(job.is_ok());
+    EXPECT_EQ(client.parallel_read(job.value()).status().code(),
+              util::ErrorCode::kCorrupt);
+  });
+  inst.run();
+  ASSERT_FALSE(inst.runtime().scheduler().deadlocked());
 }
 
 }  // namespace

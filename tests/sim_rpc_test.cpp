@@ -197,6 +197,99 @@ TEST(Rpc, AsyncBatchCollectsInIssueOrder) {
   EXPECT_TRUE(checked);
 }
 
+TEST(Rpc, AsyncBatchWaitEachHandsRepliesInIssueOrder) {
+  // Replies arrive in reverse issue order; wait_each still hands them over
+  // in issue order, each as soon as it is drained.
+  Runtime rt(2);
+  Mailbox box(rt.scheduler(), 1);
+  Address svc = spawn_test_server(rt, 1, box);
+  std::vector<std::uint64_t> seen;
+  util::Status status = util::internal_error("not run");
+  rt.spawn(0, "client", [&](Context& ctx) {
+    RpcClient cli(ctx);
+    AsyncBatch batch(cli);
+    for (std::uint64_t i = 0; i < 4; ++i) {
+      Writer w;
+      w.u64(40 - 10 * i);
+      batch.call(svc, kSlowDouble, w.buffer());
+    }
+    status = batch.wait_each([&](std::size_t i, AsyncBatch::Reply reply) {
+      EXPECT_EQ(i, seen.size());
+      seen.push_back(Reader(reply.value()).u64());
+      return util::ok_status();
+    });
+    EXPECT_EQ(batch.size(), 0u);
+  });
+  rt.run();
+  EXPECT_TRUE(status.is_ok());
+  EXPECT_EQ(seen, (std::vector<std::uint64_t>{80, 60, 40, 20}));
+}
+
+TEST(Rpc, AsyncBatchWaitEachDrainsPastAnError) {
+  // An error reply early in the batch does not stop the drain: every later
+  // reply still reaches the callback, the first error is returned, and the
+  // client's next call gets its own reply rather than a stranded one.
+  Runtime rt(2);
+  Mailbox box(rt.scheduler(), 1);
+  Address svc = spawn_test_server(rt, 1, box);
+  std::vector<std::size_t> handed;
+  util::Status status = util::ok_status();
+  std::uint64_t next = 0;
+  rt.spawn(0, "client", [&](Context& ctx) {
+    RpcClient cli(ctx);
+    AsyncBatch batch(cli);
+    batch.call(svc, kFail, {});
+    for (std::uint64_t v : {30u, 10u}) {
+      Writer w;
+      w.u64(v);
+      batch.call(svc, kSlowDouble, w.buffer());
+    }
+    batch.call(svc, kEcho, {});
+    status = batch.wait_each([&](std::size_t i, AsyncBatch::Reply reply) {
+      handed.push_back(i);
+      return reply.status();
+    });
+    Writer w;
+    w.u64(7);
+    auto reply = cli.call(svc, kSlowDouble, w.buffer());
+    ASSERT_TRUE(reply.is_ok());
+    next = Reader(reply.value()).u64();
+  });
+  rt.run();
+  EXPECT_EQ(status.code(), ErrorCode::kNotFound);
+  EXPECT_EQ(handed, (std::vector<std::size_t>{0, 1, 2, 3}));
+  EXPECT_EQ(next, 14u);
+}
+
+TEST(Rpc, AsyncBatchWaitEachTurnsAThrowIntoThatReplysStatus) {
+  // A util::StatusError thrown by the callback becomes that reply's status;
+  // the drain goes on, and the first such status wins over later ones.
+  Runtime rt(2);
+  Mailbox box(rt.scheduler(), 1);
+  Address svc = spawn_test_server(rt, 1, box);
+  std::vector<std::size_t> handed;
+  util::Status status = util::ok_status();
+  rt.spawn(0, "client", [&](Context& ctx) {
+    RpcClient cli(ctx);
+    AsyncBatch batch(cli);
+    for (int i = 0; i < 3; ++i) batch.call(svc, kEcho, {});
+    batch.call(svc, kFail, {});
+    status = batch.wait_each([&](std::size_t i, AsyncBatch::Reply reply) {
+      handed.push_back(i);
+      // value() on the failed reply throws too; call 1 throws its own.
+      if (i == 1) throw util::StatusError(util::corrupt("bad reply 1"));
+      (void)reply.value();  // throws on an error reply
+      return util::ok_status();
+    });
+    // The batch is empty again and the client is clean.
+    EXPECT_TRUE(cli.call(svc, kEcho, {}).is_ok());
+  });
+  rt.run();
+  EXPECT_EQ(status.code(), ErrorCode::kCorrupt);
+  EXPECT_EQ(status.message(), "bad reply 1");
+  EXPECT_EQ(handed, (std::vector<std::size_t>{0, 1, 2, 3}));
+}
+
 TEST(Rpc, ManyClientsOneServer) {
   Runtime rt(4);
   Mailbox box(rt.scheduler(), 0);
