@@ -1,4 +1,4 @@
-// Harness microbench: what does the simulator itself cost, per backend?
+// Harness microbench: what does the fiber scheduler itself cost?
 //
 // Unlike every other bench in this directory, nothing here measures virtual
 // time — the workloads are deliberately content-free (empty bodies, 1 us
@@ -9,16 +9,11 @@
 //   switch   K long-lived processes each sleeping M times: steady-state
 //            context-switch + event-queue cost (each sleep is one event,
 //            two context switches).
-//   churn    waves of short-lived processes (10k total on fibers): spawn /
-//            exit / stack-recycling under sustained turnover.
+//   churn    waves of short-lived processes (10k total): spawn / exit /
+//            stack-recycling under sustained turnover.
 //
-// Each scenario runs on both execution backends (BRIDGE_SIM_BACKEND is set
-// per-scheduler, in-process).  The threads backend gets proportionally
-// smaller counts — a process there is an OS thread, and 10k of those is the
-// problem this bench exists to demonstrate — and every row reports
-// normalized rates so the backends compare directly.
+// Every row reports normalized rates next to its raw time.
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "bench/bench_util.hpp"
@@ -35,31 +30,6 @@ double ms_since(WallClock::time_point start) {
       .count();
 }
 
-/// Scoped BRIDGE_SIM_BACKEND override (restores the previous value so the
-/// bench honours an externally forced backend for everything else).
-class ScopedBackend {
- public:
-  explicit ScopedBackend(const char* backend) {
-    const char* old = std::getenv("BRIDGE_SIM_BACKEND");
-    had_old_ = old != nullptr;
-    if (had_old_) old_ = old;
-    setenv("BRIDGE_SIM_BACKEND", backend, 1);
-  }
-  ~ScopedBackend() {
-    if (had_old_) {
-      setenv("BRIDGE_SIM_BACKEND", old_.c_str(), 1);
-    } else {
-      unsetenv("BRIDGE_SIM_BACKEND");
-    }
-  }
-  ScopedBackend(const ScopedBackend&) = delete;
-  ScopedBackend& operator=(const ScopedBackend&) = delete;
-
- private:
-  bool had_old_ = false;
-  std::string old_;
-};
-
 struct Row {
   double spawn_run_ms = 0;   ///< spawn scenario: spawn + run + teardown
   double switch_run_ms = 0;  ///< switch scenario: run() only
@@ -70,12 +40,9 @@ struct Row {
   std::uint64_t churn_stack_live_peak = 0;
 };
 
-void bench_backend(const char* backend, std::uint64_t spawn_n,
-                   std::uint64_t switch_procs, std::uint64_t switch_sleeps,
-                   std::uint64_t churn_waves, std::uint64_t churn_wave_size,
-                   JsonReporter& json) {
-  ScopedBackend scoped(backend);
-  const bool fibers = std::string(backend) == "fibers";
+void bench_scheduler(std::uint64_t spawn_n, std::uint64_t switch_procs,
+                     std::uint64_t switch_sleeps, std::uint64_t churn_waves,
+                     std::uint64_t churn_wave_size, JsonReporter& json) {
   Row row;
 
   // Each scenario is its own row: begin_row() opens the row's harness-cost
@@ -94,8 +61,7 @@ void bench_backend(const char* backend, std::uint64_t spawn_n,
   }
   double spawn_us = row.spawn_run_ms * 1e3 / static_cast<double>(spawn_n);
   json.emit("sim_overhead_spawn",
-            {{"fibers", fibers ? 1.0 : 0.0},
-             {"procs", static_cast<double>(spawn_n)},
+            {{"procs", static_cast<double>(spawn_n)},
              {"total_ms", row.spawn_run_ms},
              {"spawn_us_per_proc", spawn_us}});
 
@@ -119,8 +85,7 @@ void bench_backend(const char* backend, std::uint64_t spawn_n,
   // Each dispatched event is a controller->process switch and back.
   double switches_per_sec = 2.0 * events_per_sec;
   json.emit("sim_overhead_switch",
-            {{"fibers", fibers ? 1.0 : 0.0},
-             {"procs", static_cast<double>(switch_procs)},
+            {{"procs", static_cast<double>(switch_procs)},
              {"events", static_cast<double>(row.switch_events)},
              {"run_ms", row.switch_run_ms},
              {"events_per_sec", events_per_sec},
@@ -146,8 +111,7 @@ void bench_backend(const char* backend, std::uint64_t spawn_n,
   double churn_per_sec =
       static_cast<double>(churn_total) / (row.churn_ms / 1e3);
   json.emit("sim_overhead_churn",
-            {{"fibers", fibers ? 1.0 : 0.0},
-             {"procs_total", static_cast<double>(churn_total)},
+            {{"procs_total", static_cast<double>(churn_total)},
              {"total_ms", row.churn_ms},
              {"procs_per_sec", churn_per_sec},
              {"stacks_allocated",
@@ -157,10 +121,10 @@ void bench_backend(const char* backend, std::uint64_t spawn_n,
               static_cast<double>(row.churn_stack_live_peak)}});
 
   std::printf(
-      "%-8s | spawn %6llu: %8.1f ms (%6.2f us/proc) | %7llu events: %8.1f ms "
+      "spawn %6llu: %8.1f ms (%6.2f us/proc) | %7llu events: %8.1f ms "
       "(%9.0f ev/s) | churn %6llu: %8.1f ms (%7.0f proc/s, stacks %llu/%llu "
       "peak %llu)\n",
-      backend, static_cast<unsigned long long>(spawn_n), row.spawn_run_ms,
+      static_cast<unsigned long long>(spawn_n), row.spawn_run_ms,
       spawn_us, static_cast<unsigned long long>(row.switch_events),
       row.switch_run_ms, events_per_sec,
       static_cast<unsigned long long>(churn_total), row.churn_ms,
@@ -181,15 +145,10 @@ int main(int argc, char** argv) {
   std::uint64_t scale = flag_value(argc, argv, "scale", 1);
   if (scale == 0) scale = 1;
 
-  print_header("Simulator overhead: wall-clock cost per backend");
+  print_header("Simulator overhead: wall-clock cost of the fiber scheduler");
   std::printf("spawn: empty processes | switch: 1 us sleep loops | churn: "
               "waves of short-lived processes\n\n");
 
-  // Fibers take the full 10k-process load; threads get 1/5 of it (a process
-  // there is a kernel thread) and report normalized rates.
-  bench_backend("fibers", 10000 / scale, 4, 25000 / scale, 100 / scale, 100,
-                json);
-  bench_backend("threads", 2000 / scale, 4, 5000 / scale, 20 / scale, 100,
-                json);
+  bench_scheduler(10000 / scale, 4, 25000 / scale, 100 / scale, 100, json);
   return 0;
 }

@@ -119,9 +119,9 @@ void BridgeInstance::publish_metrics() {
   }
   rt_->message_stats().publish(registry, "net");
   // Measured cross-check for the static stack budget
-  // (tools/analysis/stack_audit.py).  Only present when the fiber backend
-  // ran with BRIDGE_SIM_STACK_WATERMARK=1 — an unset gauge stays out of
-  // snapshots, so threads-backend and unwatermarked runs are unchanged.
+  // (tools/analysis/stack_audit.py).  Only present under
+  // BRIDGE_SIM_STACK_WATERMARK=1 — an unset gauge stays out of snapshots,
+  // so unwatermarked runs are unchanged.
   const auto& sim_stats = rt_->scheduler().stats();
   if (sim_stats.fiber_stack_high_water > 0) {
     registry.gauge("sim.fiber_stack_high_water_bytes")

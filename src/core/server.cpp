@@ -452,6 +452,7 @@ util::Status BridgeServer::write_run(
     std::vector<std::uint32_t> local_blocks;
     std::vector<std::vector<std::byte>> wrapped;
     std::uint32_t appends = 0;  ///< blocks of this group that grow the file
+    std::uint32_t first_append = 0;  ///< local size before this run's appends
   };
   std::vector<LfsGroup> groups(num_lfs());
   for (std::size_t i = 0; i < user_blocks.size(); ++i) {
@@ -494,7 +495,9 @@ util::Status BridgeServer::write_run(
     auto& group = groups[placed.value().lfs_index];
     group.local_blocks.push_back(placed.value().local_block);
     group.wrapped.push_back(std::move(wrapped).value());
-    if (is_append) ++group.appends;
+    if (is_append && group.appends++ == 0) {
+      group.first_append = placed.value().local_block;
+    }
   }
 
   // Preflight: when an appending run spans several LFSs, one LFS could run
@@ -535,9 +538,11 @@ util::Status BridgeServer::write_run(
   // LFS preflights appends so an out-of-space run fails without leaving a
   // partial tail behind).
   sim::AsyncBatch batch(wire.rpc);
+  std::vector<std::uint32_t> issued;  ///< LFS of each batch call
   for (std::uint32_t lfs = 0; lfs < groups.size(); ++lfs) {
     auto& group = groups[lfs];
     if (group.local_blocks.empty()) continue;
+    issued.push_back(lfs);
     if (group.local_blocks.size() == 1) {
       efs::WriteRequest req{record.lfs_file_id, group.local_blocks[0],
                             std::move(group.wrapped[0])};
@@ -556,9 +561,39 @@ util::Status BridgeServer::write_run(
     stats_.vectored_blocks += user_blocks.size();
   }
 
-  // Gather completions; one failed LFS fails the run whole.
-  if (auto st = batch.wait_all_ok(); !st.is_ok()) {
+  // Gather completions; one failed LFS fails the run whole.  Every LFS
+  // whose appends did land truncates them away again, or the next Open's
+  // size refresh would count blocks the directory has rolled back.
+  std::vector<std::uint32_t> committed;
+  auto st = batch.wait_each([&](std::size_t i, const Reply& reply) {
+    if (reply.is_ok() && groups[issued[i]].appends > 0) {
+      committed.push_back(issued[i]);
+    }
+    return reply.status();
+  });
+  if (!st.is_ok()) {
     rollback();
+    if (!committed.empty()) {
+      sim::AsyncBatch undo(wire.rpc);
+      for (std::uint32_t lfs : committed) {
+        efs::TruncateRequest req{record.lfs_file_id, groups[lfs].first_append};
+        undo.call(lfs_services_[lfs], msg(efs::MsgType::kTruncate),
+                  util::encode_to_bytes(req));
+      }
+      // The run's own error is the one to report; a truncate that fails
+      // here leaves the stray tail the run would have left without it, and
+      // is logged.
+      (void)undo.wait_each([&](std::size_t k, const Reply& reply) {
+        if (!reply.is_ok()) {
+          util::LogMessage(util::LogLevel::kError, "bridge")
+              << "write_run rollback: truncate of LFS " << committed[k]
+              << " to " << groups[committed[k]].first_append
+              << " blocks failed; its constituent keeps a stray tail: "
+              << reply.status().to_string();
+        }
+        return reply.status();
+      });
+    }
     return st;
   }
   wire.ctx.charge(config_.forward_cpu *

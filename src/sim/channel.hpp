@@ -31,7 +31,6 @@ class Channel {
   /// Undelivered items still hold race-detector clock snapshots; release
   /// them so tearing down an abandoned channel does not leak tokens.
   ~Channel() {
-    auto lock = sched_.lock();
     while (!items_.empty()) {
       sched_.race_on_drop_locked(items_.top().race_token);
       items_.pop();
@@ -48,7 +47,6 @@ class Channel {
   /// (smaller payloads would otherwise leapfrog large ones, which real
   /// per-source FIFO links do not do).
   void send(T value, SimTime latency = SimTime(0)) {
-    auto lock = sched_.lock();
     SimTime at = sched_.now() + latency;
     Process* sender = sched_.current();
     ProcessId sender_id = sender == nullptr ? 0 : sender->id();
@@ -70,7 +68,6 @@ class Channel {
 
   /// Block until an item is available, then return it.
   T recv() {
-    auto lock = sched_.lock();
     Process* self = sched_.current();
     while (true) {
       if (!items_.empty() && items_.top().at <= sched_.now()) {
@@ -84,7 +81,7 @@ class Channel {
         // An item is in flight; make sure somebody wakes us when it lands.
         sched_.schedule_wake_locked(*self, items_.top().at);
       }
-      sched_.park_current(lock);
+      sched_.park_current();
       remove_waiter(self);
     }
   }
@@ -94,7 +91,6 @@ class Channel {
   /// timeout.  Used by workers that must not park forever when a controller
   /// abandons them.
   std::optional<T> recv_for(SimTime timeout) {
-    auto lock = sched_.lock();
     Process* self = sched_.current();
     SimTime deadline = sched_.now() + timeout;
     while (true) {
@@ -112,14 +108,13 @@ class Channel {
         wake_at = items_.top().at;
       }
       sched_.schedule_wake_locked(*self, wake_at);
-      sched_.park_current(lock);
+      sched_.park_current();
       remove_waiter(self);
     }
   }
 
   /// Non-blocking receive of an already-delivered item.
   std::optional<T> try_recv() {
-    auto lock = sched_.lock();
     if (!items_.empty() && items_.top().at <= sched_.now()) {
       T value = std::move(items_.top().value);
       sched_.race_on_recv_locked(items_.top().race_token);
@@ -130,10 +125,7 @@ class Channel {
   }
 
   /// Number of items enqueued (delivered or still in flight).
-  [[nodiscard]] std::size_t pending() {
-    auto lock = sched_.lock();
-    return items_.size();
-  }
+  [[nodiscard]] std::size_t pending() const noexcept { return items_.size(); }
 
  private:
   struct Item {

@@ -1,75 +1,12 @@
 #include "src/sim/exec_backend.hpp"
 
 #include <cstdlib>
-#include <mutex>
 
 #if defined(BRIDGE_ASAN_FIBERS)
 #include <sanitizer/asan_interface.h>
 #endif
 
 namespace bridge::sim {
-
-// ---------------------------------------------------------------------------
-// ThreadBackend
-// ---------------------------------------------------------------------------
-
-void ThreadBackend::start(Process& p) {
-  p.thread_ = std::thread([this, &p] { thread_main(p); });
-}
-
-void ThreadBackend::thread_main(Process& p) {
-  {
-    // Wait for the first dispatch (or teardown).
-    std::unique_lock<std::mutex> lock(sched_.mutex_);
-    p.cv_.wait(lock,
-               [this, &p] { return sched_.current_ == &p || sched_.draining_; });
-    if (sched_.draining_ && sched_.current_ != &p) {
-      p.state_ = Process::State::kFinished;
-      return;
-    }
-    p.state_ = Process::State::kRunning;
-  }
-  sched_.run_process_body(p);
-}
-
-void ThreadBackend::resume(Process& p, Scheduler::Guard& guard) {
-  p.cv_.notify_one();
-  sched_.controller_cv_.wait(guard.lock_,
-                             [this] { return sched_.current_ == nullptr; });
-}
-
-void ThreadBackend::yield(Process& p, Scheduler::Guard& guard) {
-  sched_.controller_cv_.notify_one();
-  p.cv_.wait(guard.lock_,
-             [this, &p] { return sched_.current_ == &p || sched_.draining_; });
-}
-
-void ThreadBackend::finish(Process& p) {
-  std::unique_lock<std::mutex> lock(sched_.mutex_);
-  p.state_ = Process::State::kFinished;
-  if (sched_.current_ == &p) {
-    sched_.current_ = nullptr;
-    sched_.controller_cv_.notify_one();
-  }
-  // Returning lets run_process_body and thread_main return; the OS thread
-  // exits and teardown (or a prior join) reaps it.
-}
-
-void ThreadBackend::teardown() {
-  {
-    std::unique_lock<std::mutex> lock(sched_.mutex_);
-    for (auto& p : sched_.processes_) {
-      p->cv_.notify_all();
-    }
-  }
-  for (auto& p : sched_.processes_) {
-    if (p->thread_.joinable()) p->thread_.join();
-  }
-}
-
-// ---------------------------------------------------------------------------
-// FiberBackend
-// ---------------------------------------------------------------------------
 
 namespace {
 
@@ -128,7 +65,7 @@ void FiberBackend::reap_if_finished(Process& p) {
   }
 }
 
-void FiberBackend::resume(Process& p, Scheduler::Guard&) {
+void FiberBackend::resume(Process& p) {
   if (!p.stack_.valid()) {
     p.stack_ = pool_.acquire();
     p.ctx_.init(p.stack_.usable_base(), p.stack_.usable_size(), &p);
@@ -140,7 +77,7 @@ void FiberBackend::resume(Process& p, Scheduler::Guard&) {
   reap_if_finished(p);
 }
 
-void FiberBackend::yield(Process& p, Scheduler::Guard&) {
+void FiberBackend::yield(Process& p) {
 #if defined(BRIDGE_ASAN_FIBERS)
   __sanitizer_start_switch_fiber(&p.asan_fake_stack_, controller_stack_bottom_,
                                  controller_stack_size_);
@@ -166,7 +103,7 @@ void FiberBackend::finish(Process& p) {
 }
 
 void FiberBackend::entry(Process& p) {
-  auto* backend = static_cast<FiberBackend*>(p.sched_.backend_.get());
+  FiberBackend* backend = p.sched_.backend_.get();
 #if defined(BRIDGE_ASAN_FIBERS)
   // First time on this fiber's stack: complete the controller's switch and
   // learn the controller stack bounds for the switches back.

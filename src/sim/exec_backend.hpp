@@ -1,19 +1,18 @@
-// Execution backends for the scheduler: HOW a suspended simulated process
-// keeps its stack alive between dispatches.
+// How a suspended simulated process keeps its stack between dispatches: each
+// process is a stackful fiber multiplexed on the controller thread.
 //
 // The Scheduler owns all semantics — event order, parking epochs, state
-// transitions, teardown policy.  A backend only implements the four control
+// transitions, teardown policy.  FiberBackend only implements the control
 // transfers those semantics need:
 //
-//   start    a process was spawned (allocate its execution resource)
 //   resume   controller -> process (dispatch an event to it)
 //   yield    process -> controller (it parked)
 //   finish   the process body returned/unwound; hand back control for good
 //
 // plus teardown(), which force-unwinds whatever is still suspended when the
-// scheduler is destroyed.  Both backends drive the same Scheduler code paths
-// in the same order, so the simulation's behaviour — traces included — is
-// backend-invariant; only wall-clock cost differs.
+// scheduler is destroyed.  Handoff is a user-space context switch
+// (fiber.hpp); stacks come from a guard-paged free-list pool sized by
+// BRIDGE_SIM_STACK_KB.
 #pragma once
 
 #include "src/sim/fiber.hpp"
@@ -21,69 +20,23 @@
 
 namespace bridge::sim {
 
-class ExecutionBackend {
- public:
-  virtual ~ExecutionBackend() = default;
-
-  [[nodiscard]] virtual const char* name() const noexcept = 0;
-  /// Whether Scheduler::Guard must take the real mutex (true only when
-  /// process bodies run on other OS threads).
-  [[nodiscard]] virtual bool needs_lock() const noexcept = 0;
-
-  /// Called from spawn() with the guard held.
-  virtual void start(Process& p) = 0;
-  /// Transfer control to `p` until it parks or finishes.  Called from the
-  /// controller with the guard held; current_ has already been set to &p for
-  /// a dispatch (and is nullptr for a teardown unwind).
-  virtual void resume(Process& p, Scheduler::Guard& guard) = 0;
-  /// Suspend the calling process until the controller resumes it.  Called
-  /// from park_current on the process's own stack, guard held.
-  virtual void yield(Process& p, Scheduler::Guard& guard) = 0;
-  /// The process body has returned (or unwound): mark it finished and give
-  /// control back to the controller.  On the fiber backend this call never
-  /// returns; on the threads backend it returns and the thread exits.
-  virtual void finish(Process& p) = 0;
-  /// Scheduler destructor, draining_ already set: unwind every suspended
-  /// process so resources (threads / stacks) can be reclaimed.
-  virtual void teardown() = 0;
-};
-
-/// One OS thread per process; handoff via condition variables.  Two futex
-/// round-trips per simulated event and a kernel thread per simulated client,
-/// but every process is inspectable with stock tools.  BRIDGE_SIM_BACKEND=
-/// threads selects it.
-class ThreadBackend final : public ExecutionBackend {
- public:
-  explicit ThreadBackend(Scheduler& sched) : sched_(sched) {}
-
-  [[nodiscard]] const char* name() const noexcept override { return "threads"; }
-  [[nodiscard]] bool needs_lock() const noexcept override { return true; }
-  void start(Process& p) override;
-  void resume(Process& p, Scheduler::Guard& guard) override;
-  void yield(Process& p, Scheduler::Guard& guard) override;
-  void finish(Process& p) override;
-  void teardown() override;
-
- private:
-  void thread_main(Process& p);
-
-  Scheduler& sched_;
-};
-
-/// All processes are stackful fibers multiplexed on the controller thread;
-/// handoff is a user-space context switch (fiber.hpp), stacks come from a
-/// guard-paged free-list pool sized by BRIDGE_SIM_STACK_KB.  The default.
-class FiberBackend final : public ExecutionBackend {
+class FiberBackend {
  public:
   explicit FiberBackend(Scheduler& sched);
 
-  [[nodiscard]] const char* name() const noexcept override { return "fibers"; }
-  [[nodiscard]] bool needs_lock() const noexcept override { return false; }
-  void start(Process&) override {}  // stacks are acquired lazily in resume
-  void resume(Process& p, Scheduler::Guard& guard) override;
-  void yield(Process& p, Scheduler::Guard& guard) override;
-  [[noreturn]] void finish(Process& p) override;
-  void teardown() override;
+  /// Transfer control to `p` until it parks or finishes.  Called from the
+  /// controller; current_ has already been set to &p for a dispatch.  The
+  /// stack is acquired lazily, on the first resume.
+  void resume(Process& p);
+  /// Suspend the calling process until the controller resumes it.  Called
+  /// from park_current on the process's own stack.
+  void yield(Process& p);
+  /// The process body has returned (or unwound): mark it finished and give
+  /// control back to the controller.  Never returns.
+  [[noreturn]] void finish(Process& p);
+  /// Scheduler destructor, draining_ already set: unwind every suspended
+  /// process so its stack can be reclaimed.
+  void teardown();
 
   /// First-switch landing pad, invoked (via the assembly thunk or the
   /// ucontext trampoline) on the fiber's own stack.  Never returns.

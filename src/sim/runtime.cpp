@@ -18,8 +18,9 @@ Runtime::Runtime(std::uint32_t num_nodes, Topology topology, std::uint64_t seed)
 }
 
 Runtime::~Runtime() {
-  // Processes (scheduler threads) may still run teardown code that consults
-  // the detector through channel hooks; detach it before it is destroyed.
+  // Processes the scheduler unwinds at teardown may still run code that
+  // consults the detector through channel hooks; detach it before it is
+  // destroyed.
   sched_.set_race_detector(nullptr);
 }
 

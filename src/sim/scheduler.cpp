@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
-#include <cstring>
 #include <utility>
 
 #include "src/analysis/race.hpp"
@@ -18,7 +16,7 @@ thread_local Process* t_current_process = nullptr;
 
 namespace {
 /// Thrown into a parked process when the scheduler is torn down so its stack
-/// unwinds and its execution resource can be reclaimed.  Never escapes
+/// unwinds and its fiber stack can be reclaimed.  Never escapes
 /// run_process_body.
 struct ProcessKilled {};
 
@@ -46,29 +44,15 @@ Process::Process(Scheduler& sched, ProcessId id, NodeId node, std::string name)
 
 Process::~Process() = default;
 
-Scheduler::Scheduler() {
-  const char* env = std::getenv("BRIDGE_SIM_BACKEND");
-  if (env != nullptr && std::strcmp(env, "threads") == 0) {
-    backend_ = std::make_unique<ThreadBackend>(*this);
-  } else {
-    backend_ = std::make_unique<FiberBackend>(*this);
-  }
-  lock_needed_ = backend_->needs_lock();
+Scheduler::Scheduler() : backend_(std::make_unique<FiberBackend>(*this)) {
   events_.reserve(64);
 }
 
 Scheduler::~Scheduler() {
   // Unwind any process that never finished (daemon servers, parked waiters).
-  {
-    auto guard = lock();
-    draining_ = true;
-  }
+  draining_ = true;
   backend_->teardown();
   flush_lifetime_events();
-}
-
-const char* Scheduler::backend_name() const noexcept {
-  return backend_->name();
 }
 
 std::uint64_t Scheduler::lifetime_events_dispatched() noexcept {
@@ -83,11 +67,9 @@ void Scheduler::flush_lifetime_events() noexcept {
 
 ProcessHandle Scheduler::spawn(NodeId node, std::string name,
                                std::function<void()> fn, SimTime delay) {
-  auto guard = lock();
   auto proc = std::make_unique<Process>(*this, next_pid_++, node, std::move(name));
   Process* p = proc.get();
   p->body_ = std::move(fn);
-  backend_->start(*p);
   events_.push(Event{clock_ + delay, next_seq_++, p, /*epoch=*/0, /*is_start=*/true});
   processes_.push_back(std::move(proc));
   ++stats_.processes_spawned;
@@ -102,7 +84,7 @@ std::string Scheduler::log_context_tls(void* /*unused*/) {
   Process* p = detail::t_current_process;
   if (p == nullptr) return {};
   // log_now_ was snapshotted by the controller at dispatch, so this reads no
-  // live scheduler state: safe from any thread, any backend, no lock.
+  // live scheduler state.
   return "[t=" + p->log_now_.to_string() + " n" + std::to_string(p->node_) +
          "/" + p->name_ + "]";
 }
@@ -119,7 +101,7 @@ void Scheduler::run_process_body(Process& p) {
     util::LogMessage(util::LogLevel::kError, "sim")
         << "process '" << p.name_ << "' died: " << e.what();
   }
-  backend_->finish(p);  // fibers: never returns; threads: thread exits after
+  backend_->finish(p);  // never returns
 }
 
 void Scheduler::schedule_wake_locked(Process& p, SimTime when) {
@@ -128,23 +110,22 @@ void Scheduler::schedule_wake_locked(Process& p, SimTime when) {
   ++stats_.wakes_scheduled;
 }
 
-void Scheduler::park_current(Guard& guard) {
+void Scheduler::park_current() {
   Process* self = current_;
   self->state_ = Process::State::kParked;
   current_ = nullptr;
-  backend_->yield(*self, guard);
+  backend_->yield(*self);
   if (draining_ && current_ != self) throw ProcessKilled{};
   self->state_ = Process::State::kRunning;
   ++self->epoch_;  // stale any other pending wakes aimed at the old park
 }
 
 void Scheduler::sleep_until(SimTime when) {
-  auto guard = this->lock();
   schedule_wake_locked(*current_, when);
-  park_current(guard);
+  park_current();
 }
 
-void Scheduler::dispatch(const Event& ev, Guard& guard) {
+void Scheduler::dispatch(const Event& ev) {
   Process* p = ev.process;
   if (ev.is_start) {
     if (p->state_ != Process::State::kCreated) return;
@@ -155,20 +136,19 @@ void Scheduler::dispatch(const Event& ev, Guard& guard) {
     }
   }
   ++stats_.events_dispatched;
-  p->log_now_ = clock_;  // snapshot for the lock-free log-context provider
+  p->log_now_ = clock_;  // snapshot for the log-context provider
   current_ = p;
-  backend_->resume(*p, guard);
+  backend_->resume(*p);
 }
 
 void Scheduler::run() {
-  auto guard = lock();
   while (!events_.empty()) {
     Event ev = events_.top();
     events_.pop();
     SimTime before = clock_;
     clock_ = std::max(clock_, ev.at);
     if (time_observer_ && clock_ > before) time_observer_(clock_);
-    dispatch(ev, guard);
+    dispatch(ev);
   }
   deadlocked_ = false;
   for (auto& p : processes_) {

@@ -1,4 +1,4 @@
-// Deterministic discrete-event scheduler with pluggable process execution.
+// Deterministic discrete-event scheduler over stackful fibers.
 //
 // The scheduler admits exactly ONE simulated process at a time, resuming them
 // in (virtual time, sequence) order.  Process code is therefore written in
@@ -6,22 +6,12 @@
 // deterministic: two runs with the same seed produce identical event orders
 // and identical virtual timings.
 //
-// HOW a suspended process holds its stack is an ExecutionBackend detail
-// (exec_backend.hpp), selected by BRIDGE_SIM_BACKEND at Scheduler
-// construction:
-//
-//   fibers (default)  Every process is a stackful fiber on the controller
-//                     thread; suspension is a user-space context switch into
-//                     a pooled, guard-paged stack (fiber.hpp).  No kernel
-//                     involvement per event, no scheduler lock needed.
-//   threads           Every process owns an OS thread; suspension is a
-//                     mutex + condition-variable ping-pong.  ~two orders of
-//                     magnitude slower per event, but every process is a real
-//                     thread that gdb, perf and sanitizers understand
-//                     natively — the debugging fallback.
-//
-// Event order is backend-independent, so same-seed traces are byte-identical
-// across backends (tests/sim_backend_test.cpp enforces this).
+// Every process is a stackful fiber on the controller thread (FiberBackend,
+// exec_backend.hpp); suspension is a user-space context switch into a
+// pooled, guard-paged stack (fiber.hpp).  Only one process runs at a time and
+// all of them share one OS thread, so the scheduler state needs no lock.
+// Same-seed runs give byte-identical traces (tests/sim_backend_test.cpp) and
+// bench rows (bench/baseline.jsonl).
 //
 // Parking protocol: a process parks for exactly one reason at a time (sleep
 // expiry or a channel/mailbox wait).  Every park is tagged with the process's
@@ -30,13 +20,10 @@
 // spurious or duplicate wakeups harmless.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/sim/fiber.hpp"
@@ -50,8 +37,6 @@ class RaceDetector;
 namespace bridge::sim {
 
 class Scheduler;
-class ExecutionBackend;
-class ThreadBackend;
 class FiberBackend;
 
 using NodeId = std::uint32_t;
@@ -80,7 +65,6 @@ class Process {
 
  private:
   friend class Scheduler;
-  friend class ThreadBackend;
   friend class FiberBackend;
 
   enum class State : std::uint8_t { kCreated, kParked, kRunning, kFinished };
@@ -93,13 +77,10 @@ class Process {
   bool daemon_ = false;
   std::uint64_t epoch_ = 0;  ///< incremented on every resume; stales old wakes
   SimTime log_now_{0};       ///< virtual clock snapshotted at dispatch, read
-                             ///< by the log-context provider without a lock
+                             ///< by the log-context provider
   std::function<void()> body_;
-  // Threads-backend state: the process's OS thread and its wake signal.
-  std::thread thread_;
-  std::condition_variable cv_;
-  // Fibers-backend state: the suspended context and its pooled stack
-  // (acquired lazily at first dispatch, returned to the pool on finish).
+  // The suspended context and its pooled stack (acquired lazily at first
+  // dispatch, returned to the pool on finish).
   FiberContext ctx_;
   FiberStack stack_;
   void* asan_fake_stack_ = nullptr;  ///< ASan fiber-switch bookkeeping
@@ -129,7 +110,7 @@ struct SchedulerStats {
   std::uint64_t processes_spawned = 0;
   std::uint64_t wakes_scheduled = 0;
   std::uint64_t stale_wakes_skipped = 0;
-  // Fiber-backend stack pool (all zero on the threads backend).
+  // Fiber stack pool.
   std::uint64_t fiber_stacks_allocated = 0;  ///< fresh mmaps
   std::uint64_t fiber_stacks_reused = 0;     ///< free-list hits
   std::uint64_t fiber_stack_live_peak = 0;   ///< max stacks in use at once
@@ -141,9 +122,8 @@ struct SchedulerStats {
 
 namespace detail {
 /// The process whose body is executing on this OS thread (nullptr on a
-/// controller thread between dispatches).  On the fiber backend everything
-/// runs on the controller thread, so the backend updates this at every
-/// context switch; on the threads backend each process thread sets it once.
+/// controller thread between dispatches).  Every process runs on its
+/// controller's thread, so FiberBackend updates this at every context switch.
 extern thread_local Process* t_current_process;
 }  // namespace detail
 
@@ -156,27 +136,6 @@ class Scheduler {
 
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
-
-  /// Scope guard for the simulation's internal state.  On the threads
-  /// backend it owns the scheduler mutex (process threads and the controller
-  /// genuinely race on the event queue); on the fiber backend every process
-  /// shares the controller thread, so the guard is a no-op and the hot path
-  /// pays nothing for mutual exclusion.
-  class [[nodiscard]] Guard {
-   public:
-    Guard(Guard&&) = default;
-    Guard& operator=(Guard&&) = default;
-
-   private:
-    friend class Scheduler;
-    friend class ThreadBackend;
-    explicit Guard(Scheduler& sched) {
-      if (sched.lock_needed_) {
-        lock_ = std::unique_lock<std::mutex>(sched.mutex_);
-      }
-    }
-    std::unique_lock<std::mutex> lock_;
-  };
 
   /// Create a process pinned to `node` whose body is `fn`.  It starts when
   /// run() reaches the current virtual time (plus `delay`).
@@ -196,9 +155,8 @@ class Scheduler {
   [[nodiscard]] SimTime now() const noexcept { return clock_; }
   [[nodiscard]] const SchedulerStats& stats() const noexcept { return stats_; }
 
-  /// Which execution backend this scheduler was built with ("fibers" or
-  /// "threads"); decided once at construction from BRIDGE_SIM_BACKEND.
-  [[nodiscard]] const char* backend_name() const noexcept;
+  /// How processes execute; always "fibers".
+  [[nodiscard]] const char* backend_name() const noexcept { return "fibers"; }
 
   /// Total events dispatched by every Scheduler this process has created
   /// (monotonic, across scheduler lifetimes).  Benchmarks use the delta to
@@ -220,18 +178,12 @@ class Scheduler {
   /// Block the current process until `when`, then resume it.
   void sleep_until(SimTime when);
   /// Park the current process with no scheduled wake; some other agent must
-  /// call schedule_wake first (same guard scope) or later.
-  void park_current(Guard& guard);
+  /// call schedule_wake_locked first or later.
+  void park_current();
   /// Schedule a wake for `p` at `when` targeting its current epoch.
-  /// Call with the scheduler guard held (lock()).
   void schedule_wake_locked(Process& p, SimTime when);
   /// The currently running process (nullptr if called from the controller).
   [[nodiscard]] Process* current() const noexcept { return current_; }
-
-  /// The simulation guard; channel/mailbox implementations take it while
-  /// manipulating queues and parking.  A real mutex only on the threads
-  /// backend — see Guard.
-  [[nodiscard]] Guard lock() { return Guard(*this); }
 
   // --- Race-detector plumbing (see src/analysis/race.hpp). ---
 
@@ -244,13 +196,11 @@ class Scheduler {
     return race_;
   }
 
-  /// Channel send/recv edge hooks.  Both must be called with the scheduler
-  /// guard held (channels already hold it while manipulating their queues).
-  /// on_send snapshots the current process's vector clock and returns a
-  /// token stored on the in-flight item (0 when the detector is off);
-  /// on_recv joins that snapshot into the receiver's clock.  The nullptr
-  /// check is inline so a disabled detector costs one predictable branch on
-  /// the send/recv hot paths.
+  /// Channel send/recv edge hooks.  on_send snapshots the current process's
+  /// vector clock and returns a token stored on the in-flight item (0 when
+  /// the detector is off); on_recv joins that snapshot into the receiver's
+  /// clock.  The nullptr check is inline so a disabled detector costs one
+  /// predictable branch on the send/recv hot paths.
   [[nodiscard]] std::uint64_t race_on_send_locked() {
     return race_ == nullptr ? 0 : race_send_slow();
   }
@@ -265,7 +215,6 @@ class Scheduler {
   }
 
  private:
-  friend class ThreadBackend;
   friend class FiberBackend;
 
   struct Event {
@@ -276,9 +225,9 @@ class Scheduler {
     bool is_start;           ///< first dispatch of a freshly spawned process
   };
 
-  void dispatch(const Event& ev, Guard& guard);
-  /// Shared process trunk, called by both backends on the process's own
-  /// stack: run the body, absorb teardown/crash, hand control back.
+  void dispatch(const Event& ev);
+  /// Process trunk, run on the process's own stack: run the body, absorb
+  /// teardown/crash, hand control back.
   void run_process_body(Process& p);
   /// util::log_line per-thread context provider; reads the dispatch-time
   /// clock snapshot (Process::log_now_), never live scheduler state.
@@ -290,8 +239,6 @@ class Scheduler {
   void race_recv_slow(std::uint64_t token);
   void race_drop_slow(std::uint64_t token);
 
-  std::mutex mutex_;
-  std::condition_variable controller_cv_;
   TimedMinQueue<Event> events_;
   std::vector<std::unique_ptr<Process>> processes_;
   Process* current_ = nullptr;  ///< non-null while a process owns the sim
@@ -304,8 +251,7 @@ class Scheduler {
   std::function<void(SimTime)> time_observer_;
   bool deadlocked_ = false;
   bool draining_ = false;  ///< destructor: force-finish parked processes
-  bool lock_needed_ = true;  ///< threads backend: Guard takes the real mutex
-  std::unique_ptr<ExecutionBackend> backend_;
+  std::unique_ptr<FiberBackend> backend_;
   analysis::RaceDetector* race_ = nullptr;  ///< owned by the Runtime
 };
 

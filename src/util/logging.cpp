@@ -10,9 +10,10 @@ namespace bridge::util {
 
 namespace {
 std::atomic<int> g_level{static_cast<int>(LogLevel::kWarn)};
-// NOLINT(bridge-fiber-thread-primitive): stderr is host-side, shared by the
-// threads backend's real concurrency; the mutex only orders log lines and is
-// never contended on the single-threaded fiber backend (no fiber can block).
+// NOLINT(bridge-fiber-thread-primitive): stderr is host-side and shared by
+// every host thread of the program (each may drive its own simulation); the
+// mutex only keeps log lines whole.  One simulation's fibers share a thread
+// and never contend for it.
 std::mutex g_mutex;
 
 thread_local std::string (*t_context_provider)(void*) = nullptr;

@@ -275,6 +275,17 @@ TEST(FailureInjection, FailedParallelWriteRoundLeavesTheSizeAlone) {
   });
   inst.run();
   ASSERT_FALSE(inst.runtime().scheduler().deadlocked());
+
+  // The LFSs that did commit their block of the failed round must not keep
+  // it: Open sums the constituent sizes once the disk is back.
+  inst.lfs(1).disk().repair();
+  inst.run_client("reopen", [&](sim::Context&, BridgeClient& client) {
+    auto open = client.open("f");
+    ASSERT_TRUE(open.is_ok()) << open.status().to_string();
+    EXPECT_EQ(open.value().meta.size_blocks, 4u);
+  });
+  inst.run();
+  ASSERT_FALSE(inst.runtime().scheduler().deadlocked());
 }
 
 TEST(FailureInjection, ParallelReadRejectsABlockInTheWrongSlot) {
