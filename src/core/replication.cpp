@@ -386,15 +386,18 @@ util::Status MirroredFile::derive_size() {
     std::uint32_t home = (primary_.start_lfs + o) % p;
     std::uint32_t partner = (home + p / 2) % p;
     auto primary_info = take_info(std::move(replies[home]));
-    if (primary_info.is_ok()) {
-      size += primary_info.value().size_blocks;
-      continue;
-    }
     auto mirror_info = take_info(std::move(replies[p + partner]));
-    if (!mirror_info.is_ok()) {
+    if (!primary_info.is_ok() && !mirror_info.is_ok()) {
       return util::unavailable("double failure: cannot derive mirrored size");
     }
-    size += mirror_info.value().size_blocks;
+    // A rebuild interrupted mid-way leaves one copy short: the longer copy
+    // holds the constituent's blocks.
+    std::uint64_t blocks = 0;
+    if (primary_info.is_ok()) blocks = primary_info.value().size_blocks;
+    if (mirror_info.is_ok()) {
+      blocks = std::max<std::uint64_t>(blocks, mirror_info.value().size_blocks);
+    }
+    size += blocks;
   }
   size_ = size;
   return util::ok_status();
@@ -611,41 +614,65 @@ util::Status ParityFile::derive_size() {
   issue_info(batch, *lfs_[parity_lfs_index()], parity_.lfs_file_id);
   auto replies = batch.wait_all();
 
+  std::vector<std::uint64_t> counts;
   std::uint64_t known_sum = 0;
   std::uint32_t unknown = 0;
   for (std::uint32_t o = 0; o < width; ++o) {
     auto info = take_info(std::move(replies[o]));
     if (info.is_ok()) {
-      known_sum += info.value().size_blocks;
+      counts.push_back(info.value().size_blocks);
+      known_sum += counts.back();
     } else {
       ++unknown;
     }
   }
-  if (unknown == 0) {
-    size_ = known_sum;
-    return util::ok_status();
-  }
   if (unknown > 1) {
     return util::unavailable("double failure: cannot derive parity size");
   }
-  // One data constituent is unreachable: the parity file knows the stripe
-  // count, and the last parity block's fill word pins the exact size.
   auto parity_info = take_info(std::move(replies[width]));
   if (!parity_info.is_ok()) {
+    if (unknown == 0) {
+      size_ = known_sum;
+      return util::ok_status();
+    }
     return util::unavailable("double failure: cannot derive parity size");
   }
-  std::uint32_t stripes = parity_info.value().size_blocks;
-  if (stripes == 0) {
-    size_ = 0;
+  // The parity file knows the stripe count.  With every data constituent
+  // answering, a consistent file has (stripes-1)*width < sum <= stripes*width
+  // and each constituent holds exactly the blocks a file of that sum puts
+  // there; the sum is then the size.  A rebuild interrupted mid-way leaves
+  // one constituent short and breaks that.  Then, or with one data
+  // constituent unreachable, the last parity block's fill word sizes the
+  // file too.
+  std::uint64_t stripes = parity_info.value().size_blocks;
+  auto consistent = [&] {
+    if (known_sum > stripes * width || known_sum + width <= stripes * width) {
+      return false;
+    }
+    for (std::uint32_t o = 0; o < width; ++o) {
+      if (counts[o] != known_sum / width + (o < known_sum % width ? 1 : 0)) {
+        return false;
+      }
+    }
+    return true;
+  };
+  if (unknown == 0 && consistent()) {
+    size_ = known_sum;
     return util::ok_status();
   }
-  auto last = read_block(*lfs_[parity_lfs_index()], parity_, stripes - 1);
-  if (!last.is_ok()) return last.status();
-  std::uint32_t fill = last.value().header.reserved1;
-  if (fill == 0 || fill > width) {
-    return util::corrupt("parity fill word out of range");
+  std::uint64_t from_parity = 0;
+  if (stripes > 0) {
+    auto last = read_block(*lfs_[parity_lfs_index()], parity_,
+                           static_cast<std::uint32_t>(stripes - 1));
+    if (!last.is_ok()) return last.status();
+    std::uint32_t fill = last.value().header.reserved1;
+    if (fill == 0 || fill > width) {
+      return util::corrupt("parity fill word out of range");
+    }
+    from_parity = (stripes - 1) * width + fill;
   }
-  size_ = static_cast<std::uint64_t>(stripes - 1) * width + fill;
+  // The longer derivation counts the constituent that was not cut short.
+  size_ = std::max(known_sum, from_parity);
   return util::ok_status();
 }
 

@@ -19,7 +19,7 @@ struct Run {
   std::uint64_t records = 0;
 };
 
-/// Streaming reader over a temp run file (or the final run target).
+/// Streaming reader over an LFS-local file: the source constituent or a run.
 class RunReader {
  public:
   RunReader(efs::EfsClient& efs, efs::FileId file, std::uint64_t count)
@@ -51,6 +51,19 @@ struct Sink {
   std::uint32_t header_start;
   std::uint64_t written = 0;
 };
+
+/// Where sorted records go: the task's width-1 run file, or a fresh
+/// LFS-local temp file.
+util::Result<Sink> open_sink(efs::EfsClient& efs, const LocalSortTask& task,
+                             bool to_run, std::uint32_t& temp_seq) {
+  if (to_run) {
+    return Sink{task.run.lfs_file_id, task.run.lfs_file_id, task.run.width,
+                task.run.start_lfs};
+  }
+  efs::FileId temp = tool_temp_file_id(task.lfs_index, temp_seq++);
+  if (auto st = efs.create(temp); !st.is_ok()) return st;
+  return Sink{temp, temp, 1, task.lfs_index};
+}
 
 util::Status write_record(sim::Context& ctx, efs::EfsClient& efs, Sink& sink,
                           std::span<const std::byte> payload,
@@ -87,6 +100,7 @@ LocalSortResult run_local_sort(sim::Context& ctx, const LocalSortTask& task) {
 
   // --- Run formation: read c records, sort in core, emit a sorted run. ---
   std::deque<Run> runs;
+  RunReader source(efs, task.src.lfs_file_id, task.local_count);
   std::uint64_t consumed = 0;
   bool single_run = task.local_count <= c;
   while (consumed < task.local_count) {
@@ -95,12 +109,9 @@ LocalSortResult run_local_sort(sim::Context& ctx, const LocalSortTask& task) {
     std::vector<std::vector<std::byte>> records;
     records.reserve(batch);
     for (std::uint64_t i = 0; i < batch; ++i) {
-      auto read = efs.read(task.src.lfs_file_id,
-                           static_cast<std::uint32_t>(consumed + i));
-      if (!read.is_ok()) return fail(read.status());
-      auto unwrapped = core::unwrap_block(read.value());
-      if (!unwrapped.is_ok()) return fail(unwrapped.status());
-      records.push_back(std::move(unwrapped.value().user_data));
+      auto record = source.next();
+      if (!record.is_ok()) return fail(record.status());
+      records.push_back(std::move(record).value());
     }
     // In-core sort: n log n comparisons plus a copy per record.
     std::stable_sort(records.begin(), records.end(),
@@ -111,21 +122,10 @@ LocalSortResult run_local_sort(sim::Context& ctx, const LocalSortTask& task) {
                    std::log2(std::max<double>(2.0, static_cast<double>(batch)));
     ctx.charge(task.tuning.compare_cpu * static_cast<std::int64_t>(nlogn));
 
-    Sink sink;
-    if (single_run) {
-      // Small portion: write the sorted records straight into the run file.
-      sink.file = task.run.lfs_file_id;
-      sink.header_file_id = task.run.lfs_file_id;
-      sink.header_width = task.run.width;
-      sink.header_start = task.run.start_lfs;
-    } else {
-      efs::FileId temp = tool_temp_file_id(task.lfs_index, temp_seq++);
-      if (auto st = efs.create(temp); !st.is_ok()) return fail(st);
-      sink.file = temp;
-      sink.header_file_id = temp;
-      sink.header_width = 1;
-      sink.header_start = task.lfs_index;
-    }
+    // A small portion is written straight into the run file.
+    auto opened = open_sink(efs, task, single_run, temp_seq);
+    if (!opened.is_ok()) return fail(opened.status());
+    Sink sink = std::move(opened).value();
     for (const auto& record : records) {
       if (auto st = write_record(ctx, efs, sink, record, task.tuning);
           !st.is_ok()) {
@@ -145,31 +145,16 @@ LocalSortResult run_local_sort(sim::Context& ctx, const LocalSortTask& task) {
       std::max<std::uint32_t>(2, task.tuning.local_merge_fanin);
   while (runs.size() > 1) {
     std::deque<Run> next_runs;
-    ++result.merge_passes;
     while (runs.size() > 1) {
       std::size_t k = std::min<std::size_t>(fanin, runs.size());
       bool is_final = next_runs.empty() && runs.size() == k;
 
-      std::vector<Run> group;
-      for (std::size_t i = 0; i < k; ++i) {
-        group.push_back(runs.front());
-        runs.pop_front();
-      }
+      std::vector<Run> group(runs.begin(), runs.begin() + k);
+      runs.erase(runs.begin(), runs.begin() + k);
 
-      Sink sink;
-      if (is_final) {
-        sink.file = task.run.lfs_file_id;
-        sink.header_file_id = task.run.lfs_file_id;
-        sink.header_width = task.run.width;
-        sink.header_start = task.run.start_lfs;
-      } else {
-        efs::FileId temp = tool_temp_file_id(task.lfs_index, temp_seq++);
-        if (auto st = efs.create(temp); !st.is_ok()) return fail(st);
-        sink.file = temp;
-        sink.header_file_id = temp;
-        sink.header_width = 1;
-        sink.header_start = task.lfs_index;
-      }
+      auto opened = open_sink(efs, task, is_final, temp_seq);
+      if (!opened.is_ok()) return fail(opened.status());
+      Sink sink = std::move(opened).value();
 
       // k-way merge with a linear min scan (k is small; a loser tree would
       // only change the CPU constant we charge anyway).
@@ -221,10 +206,7 @@ LocalSortResult run_local_sort(sim::Context& ctx, const LocalSortTask& task) {
       if (!is_final) next_runs.push_back(Run{sink.file, sink.written});
     }
     // Odd run carries over to the next pass.
-    while (!runs.empty()) {
-      next_runs.push_back(runs.front());
-      runs.pop_front();
-    }
+    if (!runs.empty()) next_runs.push_back(runs.front());
     runs = std::move(next_runs);
   }
   return result;

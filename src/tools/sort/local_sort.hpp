@@ -22,7 +22,6 @@ namespace bridge::tools {
 struct LocalSortTask {
   sim::Address lfs_service;
   std::uint32_t lfs_index = 0;
-  std::uint32_t offset = 0;       ///< worker's position in the source stripe
   std::uint64_t local_count = 0;  ///< records in this node's constituent
   core::FileMeta src;
   core::FileMeta run;  ///< width-1 output file rooted on this LFS
@@ -31,7 +30,6 @@ struct LocalSortTask {
 
 struct LocalSortResult {
   std::uint64_t records = 0;
-  std::uint32_t merge_passes = 0;
   util::ErrorCode error = util::ErrorCode::kOk;
   std::string message;
 };

@@ -1,6 +1,7 @@
 #include "src/tools/sort/sort_tool.hpp"
 
-#include <memory>
+#include <algorithm>
+#include <span>
 #include <vector>
 
 #include "src/tools/sort/local_sort.hpp"
@@ -10,7 +11,9 @@ namespace bridge::tools {
 
 namespace {
 
-util::Status first_error(const std::vector<MergeWorkerResult>& results) {
+/// The first error any worker of a phase reported.
+template <typename Result>
+util::Status first_error(const std::vector<Result>& results) {
   for (const auto& r : results) {
     if (r.error != util::ErrorCode::kOk) {
       return util::Status(r.error, r.message);
@@ -18,6 +21,68 @@ util::Status first_error(const std::vector<MergeWorkerResult>& results) {
   }
   return util::ok_status();
 }
+
+/// The outputs of the pass that merges `runs`: runs 2j and 2j+1 merge into
+/// `dst#m<pass>_<j>`, or into `dst` on the last pass.  Only what Create needs
+/// is set.  An odd last run is carried over.
+std::vector<core::FileMeta> pass_outputs(
+    const std::vector<core::FileMeta>& runs, std::uint32_t pass,
+    const std::string& dst) {
+  std::vector<core::FileMeta> outputs(runs.size() / 2);
+  for (std::size_t j = 0; j < outputs.size(); ++j) {
+    outputs[j].name = runs.size() == 2 ? dst
+                                       : dst + "#m" + std::to_string(pass) +
+                                             "_" + std::to_string(j);
+    outputs[j].width = runs[2 * j].width + runs[2 * j + 1].width;
+    outputs[j].start_lfs = runs[2 * j].start_lfs;
+  }
+  return outputs;
+}
+
+/// The sort's own files.  `live` holds each one it created that still
+/// exists, so a failure anywhere can remove them all.
+struct SortFiles {
+  core::BridgeApi& client;
+  std::vector<std::string> live;
+
+  util::Status create(std::span<const core::FileMeta> shapes) {
+    for (const auto& shape : shapes) {
+      core::CreateOptions create;
+      create.width = shape.width;
+      create.start_lfs = shape.start_lfs;
+      auto created = client.create(shape.name, create);
+      if (!created.is_ok()) return created.status();
+      live.push_back(shape.name);
+    }
+    return util::ok_status();
+  }
+
+  /// (Re-)open each file; the Bridge directory learns its size.
+  util::Status open(std::span<core::FileMeta> metas) {
+    for (auto& meta : metas) {
+      auto open = client.open(meta.name);
+      if (!open.is_ok()) return open.status();
+      meta = open.value().meta;
+    }
+    return util::ok_status();
+  }
+
+  void forget(const std::vector<std::string>& names) {
+    std::erase_if(live, [&](const std::string& name) {
+      return std::find(names.begin(), names.end(), name) != names.end();
+    });
+  }
+
+  /// Remove every live file with one remove_many, then return `error`, with
+  /// a failed cleanup appended to its message.
+  util::Status fail(const util::Status& error) {
+    if (live.empty()) return error;
+    auto cleanup = client.remove_many(live);
+    if (cleanup.is_ok()) return error;
+    return {error.code(),
+            error.message() + "; cleanup: " + cleanup.to_string()};
+  }
+};
 
 }  // namespace
 
@@ -42,132 +107,90 @@ util::Result<SortReport> run_sort_tool(sim::Context& ctx,
 
   SortReport report;
   report.records = src_meta.size_blocks;
+  SortFiles files{client, {}};
 
   // --- Phase 1: local external sorts, one worker per constituent LFS. ---
-  std::vector<core::FileMeta> runs;
+  std::vector<core::FileMeta> runs(w);
   {
     WorkerGroup<LocalSortResult> group(ctx, options.fanout);
-    std::vector<std::string> run_names;
     for (std::uint32_t j = 0; j < w; ++j) {
       std::uint32_t lfs = (src_meta.start_lfs + j) % p;
-      std::string run_name = dst + "#run" + std::to_string(j);
-      core::CreateOptions create;
-      create.width = 1;
-      create.start_lfs = lfs;
-      if (auto created = client.create(run_name, create); !created.is_ok()) {
-        return created.status();
+      runs[j].name = dst + "#run" + std::to_string(j);
+      runs[j].width = 1;
+      runs[j].start_lfs = lfs;
+      util::Status st = files.create({&runs[j], 1});
+      if (st.is_ok()) st = files.open({&runs[j], 1});
+      if (!st.is_ok()) {
+        group.wait_all();  // never leave a spawned worker behind
+        return files.fail(st);
       }
-      auto run_open = client.open(run_name);
-      if (!run_open.is_ok()) return run_open.status();
 
       LocalSortTask task;
       task.lfs_service = env.value().lfs_service(lfs);
       task.lfs_index = lfs;
-      task.offset = j;
       task.local_count =
           src_meta.size_blocks / w + (j < src_meta.size_blocks % w ? 1 : 0);
       task.src = src_meta;
-      task.run = run_open.value().meta;
+      task.run = runs[j];
       task.tuning = options.tuning;
       group.spawn(env.value().lfs_node(lfs), "lsort@" + std::to_string(lfs),
                   [task](sim::Context& worker_ctx) {
                     return run_local_sort(worker_ctx, task);
                   });
-      run_names.push_back(run_name);
-    }
-    for (const auto& result : group.wait_all()) {
-      if (result.error != util::ErrorCode::kOk) {
-        return util::Status(result.error, result.message);
-      }
     }
     // Re-open the runs so the Bridge directory learns their sizes.
-    for (const auto& name : run_names) {
-      auto open = client.open(name);
-      if (!open.is_ok()) return open.status();
-      runs.push_back(open.value().meta);
-    }
+    util::Status st = first_error(group.wait_all());
+    if (st.is_ok()) st = files.open(runs);
+    if (!st.is_ok()) return files.fail(st);
   }
   report.local_phase = ctx.now() - t0;
 
   // --- Phase 2: log-depth tree of parallel token merges. ---
   sim::SimTime merge_start = ctx.now();
-  std::uint32_t pass = 0;
-  if (runs.size() == 1) {
-    // Degenerate p=1 "sort": the single run IS the result; rename by copy of
-    // metadata is not supported, so merge-with-empty is avoided by creating
-    // dst as the run directly.  We instead handle it by a trivial merge
-    // below only when >= 2 runs; for 1 run, create dst and stream it over.
-    // (Rare path: only for width-1 sources.)
-    auto created = client.create(dst, [&] {
-      core::CreateOptions create;
-      create.width = 1;
-      create.start_lfs = runs[0].start_lfs;
-      return create;
-    }());
-    if (!created.is_ok()) return created.status();
-    auto dst_open = client.open(dst);
-    if (!dst_open.is_ok()) return dst_open.status();
-    auto src_session = client.open(runs[0].name);
-    if (!src_session.is_ok()) return src_session.status();
-    for (std::uint64_t i = 0; i < runs[0].size_blocks; ++i) {
-      auto r = client.seq_read(src_session.value().session);
-      if (!r.is_ok()) return r.status();
-      auto written = client.seq_write(dst_open.value().session, r.value().data);
-      if (!written.is_ok()) return written.status();
-    }
-    if (auto st = client.remove(runs[0].name); !st.is_ok()) return st;
+  std::vector<core::FileMeta> outputs = pass_outputs(runs, 1, dst);
+  util::Status st = files.create(outputs);
+  if (st.is_ok()) st = files.open(outputs);
+  // A width-1 source: its one sorted run is the result.
+  if (st.is_ok() && runs.size() == 1) {
+    st = client.rename(runs[0].name, dst).status();
+    if (st.is_ok()) files.forget({runs[0].name});
   }
+  if (!st.is_ok()) return files.fail(st);
   while (runs.size() > 1) {
-    ++pass;
-    bool final_pass = runs.size() == 2;
-    std::vector<core::FileMeta> next_runs;
+    std::uint32_t pass = ++report.merge_passes;
+    std::vector<core::FileMeta> next_runs = outputs;
+    if (runs.size() % 2 == 1) next_runs.push_back(runs.back());
     std::vector<std::string> consumed;
     WorkerGroup<MergeWorkerResult> group(ctx, options.fanout);
-    std::vector<std::unique_ptr<TokenMerge>> merges;
-
-    std::size_t pair_count = runs.size() / 2;
-    for (std::size_t j = 0; j < pair_count; ++j) {
+    std::vector<TokenMerge> merges;
+    for (std::size_t j = 0; j < outputs.size(); ++j) {
       const core::FileMeta& a = runs[2 * j];
       const core::FileMeta& b = runs[2 * j + 1];
-      std::string out_name = final_pass
-                                 ? dst
-                                 : dst + "#m" + std::to_string(pass) + "_" +
-                                       std::to_string(j);
-      core::CreateOptions create;
-      create.width = a.width + b.width;
-      create.start_lfs = a.start_lfs;
-      if (auto created = client.create(out_name, create); !created.is_ok()) {
-        return created.status();
-      }
-      auto out_open = client.open(out_name);
-      if (!out_open.is_ok()) return out_open.status();
-
-      merges.push_back(std::make_unique<TokenMerge>(
-          ctx, env.value(), a, b, out_open.value().meta, options.tuning));
-      merges.back()->launch(group);
+      merges.emplace_back(ctx, env.value(), a, b, outputs[j], options.tuning);
+      merges.back().launch(group);
       consumed.push_back(a.name);
       consumed.push_back(b.name);
-      next_runs.push_back(out_open.value().meta);
     }
-    if (runs.size() % 2 == 1) next_runs.push_back(runs.back());
 
     // Give every worker a head start, then inject the start tokens.
     ctx.sleep(sim::msec(1));
-    for (auto& merge : merges) merge->kick(ctx);
+    for (auto& merge : merges) merge.kick(ctx);
+    // While this pass merges, create the next pass's outputs.  Their Opens
+    // wait for the drain: an Open's LFS Info would queue behind merge I/O.
+    auto following = pass_outputs(next_runs, pass + 1, dst);
+    st = files.create(following);
     auto results = group.wait_all();
-    if (auto st = first_error(results); !st.is_ok()) return st;
-
+    if (st.is_ok()) st = first_error(results);
     // "Discard the old files in parallel."
-    if (auto st = client.remove_many(consumed); !st.is_ok()) return st;
-    // Refresh sizes of the newly written merge outputs.
-    for (auto& meta : next_runs) {
-      auto open = client.open(meta.name);
-      if (!open.is_ok()) return open.status();
-      meta = open.value().meta;
-    }
+    if (st.is_ok()) st = client.remove_many(consumed);
+    if (st.is_ok()) files.forget(consumed);
+    // Refresh the sizes of this pass's outputs, then open the next pass's.
+    if (st.is_ok()) st = files.open({next_runs.data(), outputs.size()});
+    if (st.is_ok()) st = files.open(following);
+    if (!st.is_ok()) return files.fail(st);
     runs = std::move(next_runs);
+    outputs = std::move(following);
   }
-  report.merge_passes = pass;
   report.merge_phase = ctx.now() - merge_start;
   report.total = ctx.now() - t0;
   return report;

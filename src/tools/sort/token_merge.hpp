@@ -68,10 +68,6 @@ class TokenMerge {
   /// Inject the start token (call after launch, before waiting).
   void kick(sim::Context& ctx);
 
-  [[nodiscard]] std::uint32_t num_workers() const noexcept {
-    return 2 * (a_.width + b_.width);
-  }
-
  private:
   struct Shared;
   std::shared_ptr<Shared> shared_;

@@ -345,6 +345,24 @@ TEST(ParityFile, ReopenDerivesSizeWithShortFinalStripe) {
   });
   inst.run();
   inst.lfs(0).disk().repair();
+
+  // A data rebuild of LFS 0 stopped one block short leaves counts 3/4/3/3,
+  // which no 13-block file has: the fill word keeps the size at 14.
+  inst.run_client("cut", [&](sim::Context&, BridgeClient& client) {
+    auto open = client.open("pfile");
+    ASSERT_TRUE(open.is_ok());
+    auto env = tools::discover(client);
+    ASSERT_TRUE(env.is_ok());
+    auto lfs = env.value().make_lfs_clients(client.rpc());
+    ASSERT_TRUE(lfs[0]->truncate(open.value().meta.lfs_file_id, 3).is_ok());
+  });
+  inst.run();
+  inst.run_client("reopen", [&](sim::Context& ctx, BridgeClient& client) {
+    auto file = ParityFile::open(ctx, client, "pfile");
+    ASSERT_TRUE(file.is_ok()) << file.status().to_string();
+    EXPECT_EQ(file.value().size_blocks(), 14u);
+  });
+  inst.run();
 }
 
 TEST(ParityFile, TornStripeRollsBackAndRecovers) {
@@ -738,23 +756,28 @@ TEST(RebuildOracle, SourceFailureMidRebuildStopsAtWindowBoundary) {
       ctx.sleep(fail_at - ctx.now());
       inst->lfs(source).disk().fail();
     });
-    // The retry goes through the same open file: a reopen would re-derive
-    // the size from the victim's half-rebuilt constituents.
+    // The retry goes through a reopened file, whose size is re-derived from
+    // the victim's half-rebuilt constituents and must not shrink.
     util::Result<RebuildReport> interrupted = util::internal_error("not run");
     util::Result<RebuildReport> retry = util::internal_error("not run");
+    std::uint64_t reopened_size = 0;
     ConstituentImage partial;
     inst->run_client("rebuilder", [&](sim::Context& ctx, BridgeClient& client) {
       RebuildOptions options;
       options.window_blocks = window;
       with_file(kind, ctx, client, [&](auto& file) {
         interrupted = file.rebuild_lfs(setup.victim, options);
-        partial = constituents_of(client, setup.victim, setup.targets);
-        inst->lfs(source).disk().repair();
+      });
+      partial = constituents_of(client, setup.victim, setup.targets);
+      inst->lfs(source).disk().repair();
+      with_file(kind, ctx, client, [&](auto& file) {
+        reopened_size = file.size_blocks();
         retry = file.rebuild_lfs(setup.victim, options);
       });
     });
     inst->run();
     EXPECT_EQ(interrupted.status().code(), util::ErrorCode::kUnavailable);
+    EXPECT_EQ(reopened_size, blocks);
 
     // Every target stopped at a window boundary, part-way through.
     ASSERT_EQ(partial.size(), oracle.size());

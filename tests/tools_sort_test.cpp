@@ -1,10 +1,12 @@
 // Sort tool: output sorted + permutation of input (property, multiple p and
-// sizes), merge invariants, phase reporting, degenerate inputs.
+// sizes), merge invariants, phase reporting, degenerate inputs, the Bridge
+// ops a sort issues, and cleanup after a failed sort.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "src/core/instance.hpp"
 #include "src/tools/sort/sort_tool.hpp"
@@ -117,6 +119,8 @@ TEST_P(SortProperty, SortsToPermutation) {
   ASSERT_FALSE(inst.runtime().scheduler().deadlocked());
 
   EXPECT_EQ(report.records, param.records);
+  // Only "input" and "sorted" remain; at p=1 the one run became "sorted".
+  EXPECT_EQ(inst.server().directory_size(), 2u);
   check_sorted_permutation(keys, read_keys(inst, "sorted"));
   EXPECT_TRUE(inst.verify_all_lfs().is_ok());
 }
@@ -225,6 +229,228 @@ TEST(SortTool, MissingInputFails) {
               util::ErrorCode::kNotFound);
   });
   inst.run();
+}
+
+/// A BridgeApi that forwards to a real client and logs each call as
+/// "<op> <name>" (the name only where the op takes one).
+class LoggingApi final : public core::BridgeApi {
+ public:
+  explicit LoggingApi(BridgeClient& inner) : inner_(inner) {}
+  std::vector<std::string> log;
+
+  util::Result<core::BridgeFileId> create(
+      const std::string& name, core::CreateOptions options) override {
+    log.push_back("create " + name);
+    return inner_.create(name, options);
+  }
+  util::Status remove(const std::string& name) override {
+    log.push_back("remove " + name);
+    return inner_.remove(name);
+  }
+  util::Status remove_many(const std::vector<std::string>& names) override {
+    log.push_back("remove_many");
+    return inner_.remove_many(names);
+  }
+  util::Result<core::OpenResponse> open(const std::string& name) override {
+    log.push_back("open " + name);
+    return inner_.open(name);
+  }
+  util::Result<core::SeqReadResponse> seq_read(std::uint64_t session) override {
+    log.push_back("seq_read");
+    return inner_.seq_read(session);
+  }
+  util::Result<std::uint64_t> seq_write(
+      std::uint64_t session, std::span<const std::byte> data) override {
+    log.push_back("seq_write");
+    return inner_.seq_write(session, data);
+  }
+  util::Result<std::vector<std::byte>> random_read(
+      core::BridgeFileId id, std::uint64_t block_no) override {
+    log.push_back("random_read");
+    return inner_.random_read(id, block_no);
+  }
+  util::Status random_write(core::BridgeFileId id, std::uint64_t block_no,
+                            std::span<const std::byte> data) override {
+    log.push_back("random_write");
+    return inner_.random_write(id, block_no, data);
+  }
+  util::Result<core::SeqReadManyResponse> seq_read_many(
+      std::uint64_t session, std::uint32_t max_blocks) override {
+    log.push_back("seq_read_many");
+    return inner_.seq_read_many(session, max_blocks);
+  }
+  util::Result<core::SeqWriteManyResponse> seq_write_many(
+      std::uint64_t session,
+      std::vector<std::vector<std::byte>> blocks) override {
+    log.push_back("seq_write_many");
+    return inner_.seq_write_many(session, std::move(blocks));
+  }
+  util::Result<core::RandomReadManyResponse> random_read_many(
+      core::BridgeFileId id, std::uint64_t first_block,
+      std::uint32_t count) override {
+    log.push_back("random_read_many");
+    return inner_.random_read_many(id, first_block, count);
+  }
+  util::Result<std::uint64_t> seq_seek(std::uint64_t session,
+                                       std::uint64_t block_no) override {
+    log.push_back("seq_seek");
+    return inner_.seq_seek(session, block_no);
+  }
+  util::Result<std::uint64_t> truncate(core::BridgeFileId id,
+                                       std::uint64_t new_size) override {
+    log.push_back("truncate");
+    return inner_.truncate(id, new_size);
+  }
+  util::Result<std::uint64_t> parallel_open(
+      std::uint64_t session,
+      const std::vector<sim::Address>& workers) override {
+    log.push_back("parallel_open");
+    return inner_.parallel_open(session, workers);
+  }
+  util::Result<core::ParallelReadResponse> parallel_read(
+      std::uint64_t job) override {
+    log.push_back("parallel_read");
+    return inner_.parallel_read(job);
+  }
+  util::Result<core::ParallelWriteResponse> parallel_write(
+      std::uint64_t job) override {
+    log.push_back("parallel_write");
+    return inner_.parallel_write(job);
+  }
+  util::Result<core::BridgeFileId> rename(const std::string& from,
+                                          const std::string& to) override {
+    log.push_back("rename " + from);
+    return inner_.rename(from, to);
+  }
+  util::Result<std::vector<core::ListEntry>> list(
+      const std::string& prefix) override {
+    log.push_back("list");
+    return inner_.list(prefix);
+  }
+  util::Result<core::GetInfoResponse> get_info() override {
+    log.push_back("get_info");
+    return inner_.get_info();
+  }
+  util::Result<core::ResolveResponse> resolve(core::BridgeFileId id,
+                                              std::uint64_t first,
+                                              std::uint32_t count) override {
+    log.push_back("resolve");
+    return inner_.resolve(id, first, count);
+  }
+
+ private:
+  BridgeClient& inner_;
+};
+
+/// The merge pass that writes `name` ("sorted#m<k>_<j>" -> k, "sorted" ->
+/// the last pass); 0 for local runs and other files.
+std::uint32_t output_pass(const std::string& name, std::uint32_t passes) {
+  if (name == "sorted") return passes;
+  auto m = name.find("#m");
+  if (m == std::string::npos) return 0;
+  return static_cast<std::uint32_t>(std::stoul(name.substr(m + 2)));
+}
+
+TEST(SortTool, OpSetIsFixedAndNextPassCreatesOverlapTheMerge) {
+  for (std::uint32_t p : {3u, 4u, 8u}) {
+    SCOPED_TRACE("p=" + std::to_string(p));
+    BridgeInstance inst(cfg(p));
+    make_keyed_file(inst, "input", random_keys(12 * p, 77 + p));
+    std::vector<std::string> log;
+    SortReport report;
+    inst.run_client("sorter", [&](sim::Context& ctx, BridgeClient& client) {
+      LoggingApi api(client);
+      SortOptions options;
+      options.tuning.in_core_records = 8;
+      auto result = run_sort_tool(ctx, api, "input", "sorted", options);
+      ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+      report = result.value();
+      log = api.log;
+    });
+    inst.run();
+
+    // w = p runs: 2w-1 Creates, 1 + 2(2w-1) Opens, one remove_many per
+    // pass, one get_info, and nothing else.
+    std::uint32_t passes = report.merge_passes;
+    EXPECT_EQ(passes, p == 8 ? 3u : 2u);
+    std::map<std::string, std::uint32_t> ops;
+    for (const auto& entry : log) ++ops[entry.substr(0, entry.find(' '))];
+    EXPECT_EQ(ops, (std::map<std::string, std::uint32_t>{
+                       {"create", 2 * p - 1},
+                       {"get_info", 1},
+                       {"open", 1 + 2 * (2 * p - 1)},
+                       {"remove_many", passes}}));
+
+    // Pass k+1's outputs are created while pass k merges, before its
+    // remove_many; they are opened only after it.
+    std::uint32_t removed = 0;
+    for (const auto& entry : log) {
+      if (entry == "remove_many") {
+        ++removed;
+        continue;
+      }
+      std::string name = entry.substr(entry.find(' ') + 1);
+      std::uint32_t pass = output_pass(name, passes);
+      if (pass < 2) continue;
+      if (entry.starts_with("create ")) {
+        EXPECT_EQ(removed, pass - 2) << entry;
+      } else if (entry.starts_with("open ")) {
+        EXPECT_GE(removed, pass - 1) << entry;
+      }
+    }
+  }
+}
+
+/// File counts that a failed sort must leave as it found them.
+struct Namespace {
+  std::size_t directory = 0;
+  std::vector<std::size_t> lfs_files;
+};
+
+Namespace namespace_of(BridgeInstance& inst, std::uint32_t p) {
+  Namespace ns;
+  ns.directory = inst.server().directory_size();
+  for (std::uint32_t i = 0; i < p; ++i) {
+    ns.lfs_files.push_back(inst.lfs(i).core().file_count());
+  }
+  return ns;
+}
+
+/// Sort "input" into "sorted" with `blocker` already in the directory;
+/// expects kAlreadyExists, no worker left behind, and no file left over.
+void expect_collision_cleans_up(std::uint32_t p, const std::string& blocker) {
+  BridgeInstance inst(cfg(p));
+  make_keyed_file(inst, "input", random_keys(10 * p, 5));
+  inst.run_client("blocker", [&](sim::Context&, BridgeClient& client) {
+    ASSERT_TRUE(client.create(blocker).is_ok());
+  });
+  inst.run();
+  Namespace before = namespace_of(inst, p);
+
+  inst.run_client("sorter", [&](sim::Context& ctx, BridgeClient& client) {
+    SortOptions options;
+    options.tuning.in_core_records = 8;
+    auto result = run_sort_tool(ctx, client, "input", "sorted", options);
+    EXPECT_EQ(result.status().code(), util::ErrorCode::kAlreadyExists)
+        << result.status().to_string();
+  });
+  inst.run();
+  EXPECT_FALSE(inst.runtime().scheduler().deadlocked());
+  EXPECT_TRUE(inst.runtime().scheduler().parked_process_names().empty());
+  Namespace after = namespace_of(inst, p);
+  EXPECT_EQ(after.directory, before.directory);
+  EXPECT_EQ(after.lfs_files, before.lfs_files);
+  EXPECT_TRUE(inst.verify_all_lfs().is_ok());
+}
+
+TEST(SortTool, MidPassCollisionDrainsWorkersAndRemovesItsFiles) {
+  // A pass-1 output, and a pass-2 output created while pass 1 merges.
+  expect_collision_cleans_up(8, "sorted#m1_2");
+  expect_collision_cleans_up(8, "sorted#m2_1");
+}
+
+TEST(SortTool, ExistingDestinationIsKeptAndItsFilesRemoved) {
+  expect_collision_cleans_up(4, "sorted");
 }
 
 }  // namespace
