@@ -224,8 +224,7 @@ class ParallelWorker {
     while (true) {
       sim::Envelope env = box_.recv();
       if (env.type == static_cast<std::uint32_t>(BridgeMsg::kWorkerData)) {
-        util::Reader r(env.payload);
-        return WorkerData::decode(r);
+        return util::decode_from_bytes<WorkerData>(env.payload);
       }
       // A stray solicitation during a read job: report empty.
       reply_no_data(env);

@@ -1,6 +1,7 @@
 #include "src/core/distribution.hpp"
 
 #include <algorithm>
+#include <string>
 
 namespace bridge::core {
 
@@ -136,37 +137,47 @@ void PlacementMap::encode(util::Writer& w) const {
   w.u32(chunk_blocks_);
   w.u64(hash_seed_);
   w.u64(size_);
-  w.u32(static_cast<std::uint32_t>(table_.size()));
-  for (const auto& placement : table_) {
-    w.u32(placement.lfs_index);
-    w.u32(placement.local_block);
-  }
+  util::write_field(w, table_);
 }
 
 PlacementMap PlacementMap::decode(util::Reader& r) {
   PlacementMap m;
-  m.dist_ = static_cast<Distribution>(r.u8());
+  std::uint8_t dist = r.u8();
+  m.dist_ = static_cast<Distribution>(dist);
   m.width_ = r.u32();
   m.total_lfs_ = r.u32();
   m.start_lfs_ = r.u32();
   m.chunk_blocks_ = r.u32();
   m.hash_seed_ = r.u64();
   m.size_ = r.u64();
-  std::uint32_t entries = r.u32();
-  m.table_.reserve(entries);
-  for (std::uint32_t i = 0; i < entries; ++i) {
-    Placement placement;
-    placement.lfs_index = r.u32();
-    placement.local_block = r.u32();
-    m.table_.push_back(placement);
+  util::read_field(r, m.table_);
+  // place() divides by width and chunk size and indexes the table and the
+  // per-LFS counters; a map that would make it misbehave is corrupt.
+  auto corrupt = [](const char* what) {
+    return util::StatusError(
+        util::corrupt(std::string("placement map: ") + what));
+  };
+  if (dist > static_cast<std::uint8_t>(Distribution::kLinked)) {
+    throw corrupt("unknown distribution");
   }
-  if (m.dist_ == Distribution::kHashed) {
-    m.next_local_.assign(m.total_lfs_, 0);
-    for (const auto& placement : m.table_) {
-      m.next_local_[placement.lfs_index] =
-          std::max(m.next_local_[placement.lfs_index],
-                   placement.local_block + 1);
+  if (m.total_lfs_ == 0 || m.width_ == 0 || m.width_ > m.total_lfs_) {
+    throw corrupt("width out of range");
+  }
+  if (m.dist_ == Distribution::kChunked && m.chunk_blocks_ == 0) {
+    throw corrupt("chunked map without a chunk size");
+  }
+  bool tabled =
+      m.dist_ == Distribution::kHashed || m.dist_ == Distribution::kLinked;
+  if (m.table_.size() != (tabled ? m.size_ : 0)) {
+    throw corrupt("table size disagrees with the file size");
+  }
+  if (tabled) m.next_local_.assign(m.total_lfs_, 0);
+  for (const auto& placement : m.table_) {
+    if (placement.lfs_index >= m.total_lfs_) {
+      throw corrupt("table entry names a missing LFS");
     }
+    m.next_local_[placement.lfs_index] = std::max(
+        m.next_local_[placement.lfs_index], placement.local_block + 1);
   }
   return m;
 }

@@ -86,6 +86,11 @@ class PlacementMap {
     }
   }
 
+  /// Hand-written wire layout (the directory snapshot and the cross-server
+  /// rename install carry it).  decode() throws StatusError(kCorrupt) on a
+  /// map place() cannot serve: an unknown distribution, a width of 0 or
+  /// above total_lfs, a chunked map without a chunk size, a table that does
+  /// not hold exactly the file's blocks, or an entry naming a missing LFS.
   void encode(util::Writer& w) const;
   static PlacementMap decode(util::Reader& r);
 

@@ -5,12 +5,12 @@
 // round-robin distribution can start on any node, then the nth block will be
 // found on processor ((n + k) mod p), where block zero belongs to LFS k."
 //
-// Alternative strategies from the paper's design discussion are provided for
-// the distribution ablation: chunking (Gamma-style contiguous ranges) and
-// hashing (randomized placement).
+// The alternative strategies from the paper's design discussion (chunking
+// and hashing) are placed by PlacementMap in distribution.hpp.
 #pragma once
 
 #include <cstdint>
+#include <tuple>
 
 #include "src/util/hash.hpp"
 
@@ -19,6 +19,7 @@ namespace bridge::core {
 struct Placement {
   std::uint32_t lfs_index = 0;   ///< which LFS holds the block
   std::uint32_t local_block = 0; ///< its block number within that LFS file
+  static auto fields(auto& m) { return std::tie(m.lfs_index, m.local_block); }
 
   friend bool operator==(const Placement&, const Placement&) = default;
 };
@@ -63,28 +64,11 @@ struct Placement {
   return static_cast<std::uint64_t>(local) * width + offset;
 }
 
-/// Gamma-style chunking: the file is split into p contiguous chunks of
-/// `chunk_blocks` each; chunk i lives entirely on LFS i.
-[[nodiscard]] constexpr Placement chunked_placement(std::uint64_t n,
-                                                    std::uint32_t chunk_blocks) {
-  return Placement{static_cast<std::uint32_t>(n / chunk_blocks),
-                   static_cast<std::uint32_t>(n % chunk_blocks)};
-}
-
 /// Hashed LFS choice for block `n` (local numbering is assignment-order and
 /// tracked by the directory; see distribution.hpp).
 [[nodiscard]] inline std::uint32_t hashed_lfs(std::uint64_t n, std::uint32_t p,
                                               std::uint64_t seed) {
   return static_cast<std::uint32_t>(util::mix64(n ^ seed) % p);
-}
-
-/// Number of distinct LFSs hit by the `count` consecutive blocks starting at
-/// `first` under round-robin — min(count, p) by construction, the §3
-/// guarantee that makes parallel sequential access optimal.
-[[nodiscard]] constexpr std::uint32_t round_robin_distinct_lfs(
-    std::uint64_t first, std::uint32_t count, std::uint32_t p) {
-  (void)first;
-  return count < p ? count : p;
 }
 
 }  // namespace bridge::core

@@ -5,11 +5,19 @@
 //
 // plus the worker-side messages the server exchanges with parallel-open
 // workers (block delivery for reads, block solicitation for writes).
+//
+// Each struct names its fields once, in wire order (`fields`), and
+// util::serde encodes them by type; nested structs with a field list
+// (FileMeta, ListEntry, Placement) nest.  Three layouts are hand-written
+// through serde's encode/decode customization point: sim::Address (a
+// mailbox capability), PlacementMap (its decode validates the map and
+// derives per-LFS bookkeeping) and GetInfoResponse below.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "src/core/distribution.hpp"
@@ -166,28 +174,9 @@ struct FileMeta {
   std::uint32_t chunk_blocks = 0;
   std::uint64_t size_blocks = 0;
   std::uint32_t lfs_file_id = 0;  ///< constituent file id on every LFS
-
-  void encode(util::Writer& w) const {
-    w.u32(id);
-    w.str(name);
-    w.u8(distribution);
-    w.u32(width);
-    w.u32(start_lfs);
-    w.u32(chunk_blocks);
-    w.u64(size_blocks);
-    w.u32(lfs_file_id);
-  }
-  static FileMeta decode(util::Reader& r) {
-    FileMeta m;
-    m.id = r.u32();
-    m.name = r.str();
-    m.distribution = r.u8();
-    m.width = r.u32();
-    m.start_lfs = r.u32();
-    m.chunk_blocks = r.u32();
-    m.size_blocks = r.u64();
-    m.lfs_file_id = r.u32();
-    return m;
+  static auto fields(auto& m) {
+    return std::tie(m.id, m.name, m.distribution, m.width, m.start_lfs,
+                    m.chunk_blocks, m.size_blocks, m.lfs_file_id);
   }
 };
 
@@ -198,193 +187,92 @@ struct CreateFileRequest {
   std::uint32_t start_lfs = 0;
   std::uint32_t chunk_blocks = 0;  ///< chunked only: per-LFS capacity
   std::uint64_t hash_seed = 0;     ///< hashed only
-
-  void encode(util::Writer& w) const {
-    w.str(name);
-    w.u8(distribution);
-    w.u32(width);
-    w.u32(start_lfs);
-    w.u32(chunk_blocks);
-    w.u64(hash_seed);
-  }
-  static CreateFileRequest decode(util::Reader& r) {
-    CreateFileRequest req;
-    req.name = r.str();
-    req.distribution = r.u8();
-    req.width = r.u32();
-    req.start_lfs = r.u32();
-    req.chunk_blocks = r.u32();
-    req.hash_seed = r.u64();
-    return req;
+  static auto fields(auto& m) {
+    return std::tie(m.name, m.distribution, m.width, m.start_lfs,
+                    m.chunk_blocks, m.hash_seed);
   }
 };
 
 struct CreateFileResponse {
   BridgeFileId id = 0;
-  void encode(util::Writer& w) const { w.u32(id); }
-  static CreateFileResponse decode(util::Reader& r) { return {r.u32()}; }
+  static auto fields(auto& m) { return std::tie(m.id); }
 };
 
 struct DeleteFileRequest {
   std::string name;
-  void encode(util::Writer& w) const { w.str(name); }
-  static DeleteFileRequest decode(util::Reader& r) { return {r.str()}; }
+  static auto fields(auto& m) { return std::tie(m.name); }
 };
 
 struct DeleteManyRequest {
   std::vector<std::string> names;
-  void encode(util::Writer& w) const {
-    w.u32(static_cast<std::uint32_t>(names.size()));
-    for (const auto& n : names) w.str(n);
-  }
-  static DeleteManyRequest decode(util::Reader& r) {
-    DeleteManyRequest req;
-    std::uint32_t n = r.u32();
-    req.names.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) req.names.push_back(r.str());
-    return req;
-  }
+  static auto fields(auto& m) { return std::tie(m.names); }
 };
 
 struct OpenRequest {
   std::string name;
-  void encode(util::Writer& w) const { w.str(name); }
-  static OpenRequest decode(util::Reader& r) { return {r.str()}; }
+  static auto fields(auto& m) { return std::tie(m.name); }
 };
 
 struct OpenResponse {
   FileMeta meta;
   std::uint64_t session = 0;
-  void encode(util::Writer& w) const {
-    meta.encode(w);
-    w.u64(session);
-  }
-  static OpenResponse decode(util::Reader& r) {
-    OpenResponse resp;
-    resp.meta = FileMeta::decode(r);
-    resp.session = r.u64();
-    return resp;
-  }
+  static auto fields(auto& m) { return std::tie(m.meta, m.session); }
 };
 
 struct SeqReadRequest {
   std::uint64_t session = 0;
-  void encode(util::Writer& w) const { w.u64(session); }
-  static SeqReadRequest decode(util::Reader& r) { return {r.u64()}; }
+  static auto fields(auto& m) { return std::tie(m.session); }
 };
 
 struct SeqReadResponse {
   bool eof = false;
   std::uint64_t block_no = 0;
   std::vector<std::byte> data;  ///< user payload (<= 960 bytes)
-  void encode(util::Writer& w) const {
-    w.boolean(eof);
-    w.u64(block_no);
-    w.bytes(data);
-  }
-  static SeqReadResponse decode(util::Reader& r) {
-    SeqReadResponse resp;
-    resp.eof = r.boolean();
-    resp.block_no = r.u64();
-    resp.data = r.bytes();
-    return resp;
-  }
+  static auto fields(auto& m) { return std::tie(m.eof, m.block_no, m.data); }
 };
 
 struct RandomReadRequest {
   BridgeFileId id = 0;
   std::uint64_t block_no = 0;
-  void encode(util::Writer& w) const {
-    w.u32(id);
-    w.u64(block_no);
-  }
-  static RandomReadRequest decode(util::Reader& r) {
-    RandomReadRequest req;
-    req.id = r.u32();
-    req.block_no = r.u64();
-    return req;
-  }
+  static auto fields(auto& m) { return std::tie(m.id, m.block_no); }
 };
 
 struct RandomReadResponse {
   std::vector<std::byte> data;
-  void encode(util::Writer& w) const { w.bytes(data); }
-  static RandomReadResponse decode(util::Reader& r) { return {r.bytes()}; }
+  static auto fields(auto& m) { return std::tie(m.data); }
 };
 
 struct SeqWriteRequest {
   std::uint64_t session = 0;
   std::vector<std::byte> data;
-  void encode(util::Writer& w) const {
-    w.u64(session);
-    w.bytes(data);
-  }
-  static SeqWriteRequest decode(util::Reader& r) {
-    SeqWriteRequest req;
-    req.session = r.u64();
-    req.data = r.bytes();
-    return req;
-  }
+  static auto fields(auto& m) { return std::tie(m.session, m.data); }
 };
 
 struct SeqWriteResponse {
   std::uint64_t block_no = 0;
-  void encode(util::Writer& w) const { w.u64(block_no); }
-  static SeqWriteResponse decode(util::Reader& r) { return {r.u64()}; }
+  static auto fields(auto& m) { return std::tie(m.block_no); }
 };
 
 struct RandomWriteRequest {
   BridgeFileId id = 0;
   std::uint64_t block_no = 0;
   std::vector<std::byte> data;
-  void encode(util::Writer& w) const {
-    w.u32(id);
-    w.u64(block_no);
-    w.bytes(data);
-  }
-  static RandomWriteRequest decode(util::Reader& r) {
-    RandomWriteRequest req;
-    req.id = r.u32();
-    req.block_no = r.u64();
-    req.data = r.bytes();
-    return req;
-  }
+  static auto fields(auto& m) { return std::tie(m.id, m.block_no, m.data); }
 };
 
 /// Sequential read of up to `max_blocks` blocks from the session cursor.
 struct SeqReadManyRequest {
   std::uint64_t session = 0;
   std::uint32_t max_blocks = 0;
-  void encode(util::Writer& w) const {
-    w.u64(session);
-    w.u32(max_blocks);
-  }
-  static SeqReadManyRequest decode(util::Reader& r) {
-    SeqReadManyRequest req;
-    req.session = r.u64();
-    req.max_blocks = r.u32();
-    return req;
-  }
+  static auto fields(auto& m) { return std::tie(m.session, m.max_blocks); }
 };
 
 struct SeqReadManyResponse {
   bool eof = false;  ///< cursor reached end of file after this run
   std::uint64_t first_block_no = 0;
   std::vector<std::vector<std::byte>> blocks;  ///< global-block order
-  void encode(util::Writer& w) const {
-    w.boolean(eof);
-    w.u64(first_block_no);
-    w.u32(static_cast<std::uint32_t>(blocks.size()));
-    for (const auto& b : blocks) w.bytes(b);
-  }
-  static SeqReadManyResponse decode(util::Reader& r) {
-    SeqReadManyResponse resp;
-    resp.eof = r.boolean();
-    resp.first_block_no = r.u64();
-    std::uint32_t n = r.u32();
-    resp.blocks.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) resp.blocks.push_back(r.bytes());
-    return resp;
+  static auto fields(auto& m) {
+    return std::tie(m.eof, m.first_block_no, m.blocks);
   }
 };
 
@@ -394,34 +282,13 @@ struct SeqReadManyResponse {
 struct SeqWriteManyRequest {
   std::uint64_t session = 0;
   std::vector<std::vector<std::byte>> blocks;
-  void encode(util::Writer& w) const {
-    w.u64(session);
-    w.u32(static_cast<std::uint32_t>(blocks.size()));
-    for (const auto& b : blocks) w.bytes(b);
-  }
-  static SeqWriteManyRequest decode(util::Reader& r) {
-    SeqWriteManyRequest req;
-    req.session = r.u64();
-    std::uint32_t n = r.u32();
-    req.blocks.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) req.blocks.push_back(r.bytes());
-    return req;
-  }
+  static auto fields(auto& m) { return std::tie(m.session, m.blocks); }
 };
 
 struct SeqWriteManyResponse {
   std::uint64_t first_block_no = 0;
   std::uint32_t count = 0;
-  void encode(util::Writer& w) const {
-    w.u64(first_block_no);
-    w.u32(count);
-  }
-  static SeqWriteManyResponse decode(util::Reader& r) {
-    SeqWriteManyResponse resp;
-    resp.first_block_no = r.u64();
-    resp.count = r.u32();
-    return resp;
-  }
+  static auto fields(auto& m) { return std::tie(m.first_block_no, m.count); }
 };
 
 /// Reposition a session's sequential read cursor to `block_no` (clamped to
@@ -429,38 +296,19 @@ struct SeqWriteManyResponse {
 struct SeqSeekRequest {
   std::uint64_t session = 0;
   std::uint64_t block_no = 0;
-  void encode(util::Writer& w) const {
-    w.u64(session);
-    w.u64(block_no);
-  }
-  static SeqSeekRequest decode(util::Reader& r) {
-    SeqSeekRequest req;
-    req.session = r.u64();
-    req.block_no = r.u64();
-    return req;
-  }
+  static auto fields(auto& m) { return std::tie(m.session, m.block_no); }
 };
 
 struct SeqSeekResponse {
   std::uint64_t block_no = 0;  ///< cursor position after the (clamped) seek
-  void encode(util::Writer& w) const { w.u64(block_no); }
-  static SeqSeekResponse decode(util::Reader& r) { return {r.u64()}; }
+  static auto fields(auto& m) { return std::tie(m.block_no); }
 };
 
 /// Rename `from` to `to`.  Sent to the server that homes `from`.
 struct RenameRequest {
   std::string from;
   std::string to;
-  void encode(util::Writer& w) const {
-    w.str(from);
-    w.str(to);
-  }
-  static RenameRequest decode(util::Reader& r) {
-    RenameRequest req;
-    req.from = r.str();
-    req.to = r.str();
-    return req;
-  }
+  static auto fields(auto& m) { return std::tie(m.from, m.to); }
 };
 
 struct RenameResponse {
@@ -469,8 +317,7 @@ struct RenameResponse {
   /// top byte routes to the entry's new home (stale pre-rename ids resolve
   /// to not_found at the old home, never to another file's data).
   BridgeFileId id = 0;
-  void encode(util::Writer& w) const { w.u32(id); }
-  static RenameResponse decode(util::Reader& r) { return {r.u32()}; }
+  static auto fields(auto& m) { return std::tie(m.id); }
 };
 
 /// Coordinator -> destination: install this detached directory record under
@@ -481,19 +328,8 @@ struct RenameInstallRequest {
   std::string to;
   std::uint32_t lfs_file_id = 0;
   PlacementMap placement;
-  void encode(util::Writer& w) const {
-    w.u64(seq);
-    w.str(to);
-    w.u32(lfs_file_id);
-    placement.encode(w);
-  }
-  static RenameInstallRequest decode(util::Reader& r) {
-    RenameInstallRequest req;
-    req.seq = r.u64();
-    req.to = r.str();
-    req.lfs_file_id = r.u32();
-    req.placement = PlacementMap::decode(r);
-    return req;
+  static auto fields(auto& m) {
+    return std::tie(m.seq, m.to, m.lfs_file_id, m.placement);
   }
 };
 
@@ -504,27 +340,15 @@ struct RenameAck {
   std::uint8_t code = 0;  ///< util::ErrorCode value; 0 = committed
   BridgeFileId new_id = 0;
   std::string error;
-  void encode(util::Writer& w) const {
-    w.u64(seq);
-    w.u8(code);
-    w.u32(new_id);
-    w.str(error);
-  }
-  static RenameAck decode(util::Reader& r) {
-    RenameAck ack;
-    ack.seq = r.u64();
-    ack.code = r.u8();
-    ack.new_id = r.u32();
-    ack.error = r.str();
-    return ack;
+  static auto fields(auto& m) {
+    return std::tie(m.seq, m.code, m.new_id, m.error);
   }
 };
 
 /// List directory entries whose names start with `prefix` ("" = all).
 struct ListRequest {
   std::string prefix;
-  void encode(util::Writer& w) const { w.str(prefix); }
-  static ListRequest decode(util::Reader& r) { return {r.str()}; }
+  static auto fields(auto& m) { return std::tie(m.prefix); }
 };
 
 /// One directory entry in a listing.  `size_blocks` is the directory's
@@ -535,19 +359,8 @@ struct ListEntry {
   BridgeFileId id = 0;
   std::uint64_t size_blocks = 0;
   std::uint8_t distribution = 0;
-  void encode(util::Writer& w) const {
-    w.str(name);
-    w.u32(id);
-    w.u64(size_blocks);
-    w.u8(distribution);
-  }
-  static ListEntry decode(util::Reader& r) {
-    ListEntry e;
-    e.name = r.str();
-    e.id = r.u32();
-    e.size_blocks = r.u64();
-    e.distribution = r.u8();
-    return e;
+  static auto fields(auto& m) {
+    return std::tie(m.name, m.id, m.size_blocks, m.distribution);
   }
 };
 
@@ -555,19 +368,7 @@ struct ListEntry {
 /// client's k-way merge then yields one globally sorted listing).
 struct ListResponse {
   std::vector<ListEntry> entries;
-  void encode(util::Writer& w) const {
-    w.u32(static_cast<std::uint32_t>(entries.size()));
-    for (const auto& e : entries) e.encode(w);
-  }
-  static ListResponse decode(util::Reader& r) {
-    ListResponse resp;
-    std::uint32_t n = r.u32();
-    resp.entries.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      resp.entries.push_back(ListEntry::decode(r));
-    }
-    return resp;
-  }
+  static auto fields(auto& m) { return std::tie(m.entries); }
 };
 
 /// Random read of `count` consecutive blocks starting at `first_block`.
@@ -575,33 +376,12 @@ struct RandomReadManyRequest {
   BridgeFileId id = 0;
   std::uint64_t first_block = 0;
   std::uint32_t count = 0;
-  void encode(util::Writer& w) const {
-    w.u32(id);
-    w.u64(first_block);
-    w.u32(count);
-  }
-  static RandomReadManyRequest decode(util::Reader& r) {
-    RandomReadManyRequest req;
-    req.id = r.u32();
-    req.first_block = r.u64();
-    req.count = r.u32();
-    return req;
-  }
+  static auto fields(auto& m) { return std::tie(m.id, m.first_block, m.count); }
 };
 
 struct RandomReadManyResponse {
   std::vector<std::vector<std::byte>> blocks;  ///< blocks[i] = first+i
-  void encode(util::Writer& w) const {
-    w.u32(static_cast<std::uint32_t>(blocks.size()));
-    for (const auto& b : blocks) w.bytes(b);
-  }
-  static RandomReadManyResponse decode(util::Reader& r) {
-    RandomReadManyResponse resp;
-    std::uint32_t n = r.u32();
-    resp.blocks.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) resp.blocks.push_back(r.bytes());
-    return resp;
-  }
+  static auto fields(auto& m) { return std::tie(m.blocks); }
 };
 
 /// Shrink file `id` to `new_size_blocks` global blocks.  Growing is not
@@ -609,125 +389,61 @@ struct RandomReadManyResponse {
 struct TruncateFileRequest {
   BridgeFileId id = 0;
   std::uint64_t new_size_blocks = 0;
-  void encode(util::Writer& w) const {
-    w.u32(id);
-    w.u64(new_size_blocks);
-  }
-  static TruncateFileRequest decode(util::Reader& r) {
-    TruncateFileRequest req;
-    req.id = r.u32();
-    req.new_size_blocks = r.u64();
-    return req;
-  }
+  static auto fields(auto& m) { return std::tie(m.id, m.new_size_blocks); }
 };
 
 struct TruncateFileResponse {
   std::uint64_t size_blocks = 0;  ///< file size after the truncate
-  void encode(util::Writer& w) const { w.u64(size_blocks); }
-  static TruncateFileResponse decode(util::Reader& r) { return {r.u64()}; }
+  static auto fields(auto& m) { return std::tie(m.size_blocks); }
 };
 
 struct ParallelOpenRequest {
   std::uint64_t session = 0;
   std::vector<sim::Address> workers;
-  void encode(util::Writer& w) const {
-    w.u64(session);
-    w.u32(static_cast<std::uint32_t>(workers.size()));
-    for (const auto& a : workers) sim::encode_address(w, a);
-  }
-  static ParallelOpenRequest decode(util::Reader& r) {
-    ParallelOpenRequest req;
-    req.session = r.u64();
-    std::uint32_t n = r.u32();
-    req.workers.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      req.workers.push_back(sim::decode_address(r));
-    }
-    return req;
-  }
+  static auto fields(auto& m) { return std::tie(m.session, m.workers); }
 };
 
 struct ParallelOpenResponse {
   std::uint64_t job = 0;
-  void encode(util::Writer& w) const { w.u64(job); }
-  static ParallelOpenResponse decode(util::Reader& r) { return {r.u64()}; }
+  static auto fields(auto& m) { return std::tie(m.job); }
 };
 
 struct ParallelReadRequest {
   std::uint64_t job = 0;
-  void encode(util::Writer& w) const { w.u64(job); }
-  static ParallelReadRequest decode(util::Reader& r) { return {r.u64()}; }
+  static auto fields(auto& m) { return std::tie(m.job); }
 };
 
 struct ParallelReadResponse {
   std::uint32_t blocks_delivered = 0;
   bool eof = false;
-  void encode(util::Writer& w) const {
-    w.u32(blocks_delivered);
-    w.boolean(eof);
-  }
-  static ParallelReadResponse decode(util::Reader& r) {
-    ParallelReadResponse resp;
-    resp.blocks_delivered = r.u32();
-    resp.eof = r.boolean();
-    return resp;
-  }
+  static auto fields(auto& m) { return std::tie(m.blocks_delivered, m.eof); }
 };
 
 struct ParallelWriteRequest {
   std::uint64_t job = 0;
-  void encode(util::Writer& w) const { w.u64(job); }
-  static ParallelWriteRequest decode(util::Reader& r) { return {r.u64()}; }
+  static auto fields(auto& m) { return std::tie(m.job); }
 };
 
 struct ParallelWriteResponse {
   std::uint32_t blocks_written = 0;
-  void encode(util::Writer& w) const { w.u32(blocks_written); }
-  static ParallelWriteResponse decode(util::Reader& r) { return {r.u32()}; }
+  static auto fields(auto& m) { return std::tie(m.blocks_written); }
 };
 
 struct ResolveRequest {
   BridgeFileId id = 0;
   std::uint64_t first_block = 0;
   std::uint32_t count = 0;
-  void encode(util::Writer& w) const {
-    w.u32(id);
-    w.u64(first_block);
-    w.u32(count);
-  }
-  static ResolveRequest decode(util::Reader& r) {
-    ResolveRequest req;
-    req.id = r.u32();
-    req.first_block = r.u64();
-    req.count = r.u32();
-    return req;
-  }
+  static auto fields(auto& m) { return std::tie(m.id, m.first_block, m.count); }
 };
 
 struct ResolveResponse {
   std::vector<Placement> placements;  ///< placements[i] = block first+i
-  void encode(util::Writer& w) const {
-    w.u32(static_cast<std::uint32_t>(placements.size()));
-    for (const auto& placement : placements) {
-      w.u32(placement.lfs_index);
-      w.u32(placement.local_block);
-    }
-  }
-  static ResolveResponse decode(util::Reader& r) {
-    ResolveResponse resp;
-    std::uint32_t n = r.u32();
-    resp.placements.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      Placement placement;
-      placement.lfs_index = r.u32();
-      placement.local_block = r.u32();
-      resp.placements.push_back(placement);
-    }
-    return resp;
-  }
+  static auto fields(auto& m) { return std::tie(m.placements); }
 };
 
 /// Get Info: everything a tool needs to talk to the LFS level directly.
+/// Hand-written layout: both arrays are sized by the one `num_lfs`, not by
+/// counts of their own.
 struct GetInfoResponse {
   std::uint32_t num_lfs = 0;
   std::vector<sim::Address> lfs_services;  ///< index i = LFS i
@@ -735,20 +451,16 @@ struct GetInfoResponse {
 
   void encode(util::Writer& w) const {
     w.u32(num_lfs);
-    for (const auto& a : lfs_services) sim::encode_address(w, a);
+    for (const auto& a : lfs_services) a.encode(w);
     for (auto n : lfs_nodes) w.u32(n);
   }
   static GetInfoResponse decode(util::Reader& r) {
     GetInfoResponse resp;
-    resp.num_lfs = r.u32();
-    resp.lfs_services.reserve(resp.num_lfs);
-    for (std::uint32_t i = 0; i < resp.num_lfs; ++i) {
-      resp.lfs_services.push_back(sim::decode_address(r));
-    }
-    resp.lfs_nodes.reserve(resp.num_lfs);
-    for (std::uint32_t i = 0; i < resp.num_lfs; ++i) {
-      resp.lfs_nodes.push_back(r.u32());
-    }
+    resp.num_lfs = r.count();
+    resp.lfs_services.resize(resp.num_lfs);
+    for (auto& a : resp.lfs_services) a = sim::Address::decode(r);
+    resp.lfs_nodes.resize(resp.num_lfs);
+    for (auto& n : resp.lfs_nodes) n = r.u32();
     return resp;
   }
 };
@@ -758,41 +470,22 @@ struct WorkerData {
   bool eof = false;
   std::uint64_t global_block_no = 0;
   std::vector<std::byte> data;
-  void encode(util::Writer& w) const {
-    w.boolean(eof);
-    w.u64(global_block_no);
-    w.bytes(data);
-  }
-  static WorkerData decode(util::Reader& r) {
-    WorkerData d;
-    d.eof = r.boolean();
-    d.global_block_no = r.u64();
-    d.data = r.bytes();
-    return d;
+  static auto fields(auto& m) {
+    return std::tie(m.eof, m.global_block_no, m.data);
   }
 };
 
 /// Server -> worker solicitation during a parallel write (request).
 struct WorkerGiveRequest {
   std::uint64_t global_block_no = 0;
-  void encode(util::Writer& w) const { w.u64(global_block_no); }
-  static WorkerGiveRequest decode(util::Reader& r) { return {r.u64()}; }
+  static auto fields(auto& m) { return std::tie(m.global_block_no); }
 };
 
 /// Worker's reply: its next block (or has_data=false when drained).
 struct WorkerGiveResponse {
   bool has_data = false;
   std::vector<std::byte> data;
-  void encode(util::Writer& w) const {
-    w.boolean(has_data);
-    w.bytes(data);
-  }
-  static WorkerGiveResponse decode(util::Reader& r) {
-    WorkerGiveResponse resp;
-    resp.has_data = r.boolean();
-    resp.data = r.bytes();
-    return resp;
-  }
+  static auto fields(auto& m) { return std::tie(m.has_data, m.data); }
 };
 
 }  // namespace bridge::core

@@ -169,9 +169,9 @@ class ParityFile {
   ParityFile(sim::Context& ctx, tools::ToolEnv env, FileMeta data,
              FileMeta parity);
 
-  /// Re-derive size_ from the data constituents; if one data LFS cannot
-  /// answer, the exact size is recovered from the last parity block's fill
-  /// count instead.
+  /// Re-derive size_ as the larger of the data constituents' block sum and
+  /// the size the last parity block's fill count gives; either stands alone
+  /// when one LFS cannot answer.
   util::Status derive_size();
 
   sim::Context* ctx_;

@@ -63,12 +63,6 @@ struct EfsConfig {
 struct FileInfo {
   FileId id = kInvalidFileId;
   std::uint32_t size_blocks = 0;
-  BlockAddr head = kNilAddr;  ///< disk address of local block 0
-};
-
-struct ReadResult {
-  BlockAddr addr = kNilAddr;         ///< where the block lives
-  std::vector<std::byte> data;       ///< kEfsDataBytes payload
 };
 
 struct EfsOpStats {
@@ -110,30 +104,27 @@ class EfsCore {
   util::Status remove(sim::Context& ctx, FileId id);
   util::Result<FileInfo> info(sim::Context& ctx, FileId id);
 
-  /// Read local block `block_no` of file `id`; the extent map answers the
-  /// lookup.
-  util::Result<ReadResult> read(sim::Context& ctx, FileId id,
-                                std::uint32_t block_no);
+  /// Read local block `block_no` of file `id` and return its kEfsDataBytes
+  /// payload; the extent map answers the lookup.
+  util::Result<std::vector<std::byte>> read(sim::Context& ctx, FileId id,
+                                            std::uint32_t block_no);
 
   /// Write local block `block_no` (exactly kEfsDataBytes bytes).  Writing at
-  /// block_no == size appends; beyond it is an error.  Returns the block's
-  /// disk address.
-  util::Result<BlockAddr> write(sim::Context& ctx, FileId id,
-                                std::uint32_t block_no,
-                                std::span<const std::byte> data);
+  /// block_no == size appends; beyond it is an error.
+  util::Status write(sim::Context& ctx, FileId id, std::uint32_t block_no,
+                     std::span<const std::byte> data);
 
   /// Write a whole run of local blocks (the kWriteMany backend).  Each data
   /// block is staged in the cache instead of written through, and every
   /// touched track is then flushed in one positioning operation — the
   /// write-side counterpart of full-track read buffering, so a contiguous
   /// run costs ~one disk time per track instead of one per block.  Blocks
-  /// land with the same on-disk contents as the per-block path.  Returns
-  /// the last block's address; on error the staged prefix is still flushed
-  /// so the disk reflects every completed block and the caller can
-  /// compensate with truncate().
-  util::Result<BlockAddr> write_run(sim::Context& ctx, FileId id,
-                                    std::span<const std::uint32_t> block_nos,
-                                    std::span<const std::vector<std::byte>> blocks);
+  /// land with the same on-disk contents as the per-block path.  On error
+  /// the staged prefix is still flushed so the disk reflects every
+  /// completed block and the caller can compensate with truncate().
+  util::Status write_run(sim::Context& ctx, FileId id,
+                         std::span<const std::uint32_t> block_nos,
+                         std::span<const std::vector<std::byte>> blocks);
 
   /// Truncate file `id` to `new_size_blocks` (<= current size; equal is a
   /// no-op).  Dropped tail blocks are O(extents) bitmap clears; a truncate

@@ -1,13 +1,19 @@
-// EFS wire protocol: request/response structs and their serialization.
+// EFS wire protocol: the request/response structs of the LFS level.
 //
 // Every request is stateless and self-describing: it names the file and the
 // local block numbers it touches, and nothing else.  The 1988 EFS took a
 // caller-supplied disk address so it could walk a block chain from there
 // (§4.3); the v2 extent map answers every lookup directly, so no request
 // carries a disk address and no reply returns one.
+//
+// Each struct names its fields once, in wire order, and util::serde encodes
+// them by type.  Every data request lists `file_id` first:
+// EfsServer::estimate_track reads it (and the first block number) straight
+// off the payload to pick a disk queue position without a full decode.
 #pragma once
 
 #include <cstdint>
+#include <tuple>
 #include <vector>
 
 #include "src/efs/layout.hpp"
@@ -55,35 +61,23 @@ constexpr const char* efs_msg_name(MsgType type) noexcept {
 
 struct CreateRequest {
   FileId file_id = kInvalidFileId;
-  void encode(util::Writer& w) const { w.u32(file_id); }
-  static CreateRequest decode(util::Reader& r) { return {r.u32()}; }
+  static auto fields(auto& m) { return std::tie(m.file_id); }
 };
 
 struct DeleteRequest {
   FileId file_id = kInvalidFileId;
-  void encode(util::Writer& w) const { w.u32(file_id); }
-  static DeleteRequest decode(util::Reader& r) { return {r.u32()}; }
+  static auto fields(auto& m) { return std::tie(m.file_id); }
 };
 
 struct InfoRequest {
   FileId file_id = kInvalidFileId;
-  void encode(util::Writer& w) const { w.u32(file_id); }
-  static InfoRequest decode(util::Reader& r) { return {r.u32()}; }
+  static auto fields(auto& m) { return std::tie(m.file_id); }
 };
 
 struct InfoResponse {
   std::uint32_t size_blocks = 0;
   std::uint32_t free_blocks = 0;  ///< whole-LFS free count (append preflight)
-  void encode(util::Writer& w) const {
-    w.u32(size_blocks);
-    w.u32(free_blocks);
-  }
-  static InfoResponse decode(util::Reader& r) {
-    InfoResponse resp;
-    resp.size_blocks = r.u32();
-    resp.free_blocks = r.u32();
-    return resp;
-  }
+  static auto fields(auto& m) { return std::tie(m.size_blocks, m.free_blocks); }
 };
 
 /// Write one block through to disk.  The reply carries no payload.
@@ -91,17 +85,8 @@ struct WriteRequest {
   FileId file_id = kInvalidFileId;
   std::uint32_t block_no = 0;
   std::vector<std::byte> data;  ///< kEfsDataBytes payload
-  void encode(util::Writer& w) const {
-    w.u32(file_id);
-    w.u32(block_no);
-    w.bytes(data);
-  }
-  static WriteRequest decode(util::Reader& r) {
-    WriteRequest req;
-    req.file_id = r.u32();
-    req.block_no = r.u32();
-    req.data = r.bytes();
-    return req;
+  static auto fields(auto& m) {
+    return std::tie(m.file_id, m.block_no, m.data);
   }
 };
 
@@ -110,34 +95,12 @@ struct WriteRequest {
 struct ReadManyRequest {
   FileId file_id = kInvalidFileId;
   std::vector<std::uint32_t> block_nos;
-  void encode(util::Writer& w) const {
-    w.u32(file_id);
-    w.u32(static_cast<std::uint32_t>(block_nos.size()));
-    for (auto n : block_nos) w.u32(n);
-  }
-  static ReadManyRequest decode(util::Reader& r) {
-    ReadManyRequest req;
-    req.file_id = r.u32();
-    std::uint32_t n = r.u32();
-    req.block_nos.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) req.block_nos.push_back(r.u32());
-    return req;
-  }
+  static auto fields(auto& m) { return std::tie(m.file_id, m.block_nos); }
 };
 
 struct ReadManyResponse {
   std::vector<std::vector<std::byte>> blocks;  ///< blocks[i] = block_nos[i]
-  void encode(util::Writer& w) const {
-    w.u32(static_cast<std::uint32_t>(blocks.size()));
-    for (const auto& b : blocks) w.bytes(b);
-  }
-  static ReadManyResponse decode(util::Reader& r) {
-    ReadManyResponse resp;
-    std::uint32_t n = r.u32();
-    resp.blocks.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) resp.blocks.push_back(r.bytes());
-    return resp;
-  }
+  static auto fields(auto& m) { return std::tie(m.blocks); }
 };
 
 /// The blocks of an encoded kReadMany reply, which must hold exactly
@@ -155,31 +118,15 @@ inline util::Result<std::vector<std::vector<std::byte>>> read_many_blocks(
 /// are preflighted against the allocation bitmap (including any extent-table
 /// growth they would force) so an out-of-space run fails whole,
 /// leaving the constituent file untouched (no partial tail for the Bridge
-/// Server to roll back).  The reply carries no payload.
+/// Server to roll back).  The reply carries no payload.  The two vectors
+/// carry separate counts, so a mismatched request survives the wire and is
+/// rejected by the server, not by the decoder.
 struct WriteManyRequest {
   FileId file_id = kInvalidFileId;
   std::vector<std::uint32_t> block_nos;
   std::vector<std::vector<std::byte>> blocks;  ///< kEfsDataBytes payloads
-  void encode(util::Writer& w) const {
-    w.u32(file_id);
-    w.u32(static_cast<std::uint32_t>(block_nos.size()));
-    for (auto n : block_nos) w.u32(n);
-    // Payload count is carried separately so a malformed (mismatched)
-    // request survives the wire and is rejected by the server, not by the
-    // decoder.
-    w.u32(static_cast<std::uint32_t>(blocks.size()));
-    for (const auto& b : blocks) w.bytes(b);
-  }
-  static WriteManyRequest decode(util::Reader& r) {
-    WriteManyRequest req;
-    req.file_id = r.u32();
-    std::uint32_t n = r.u32();
-    req.block_nos.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) req.block_nos.push_back(r.u32());
-    std::uint32_t m = r.u32();
-    req.blocks.reserve(m);
-    for (std::uint32_t i = 0; i < m; ++i) req.blocks.push_back(r.bytes());
-    return req;
+  static auto fields(auto& m) {
+    return std::tie(m.file_id, m.block_nos, m.blocks);
   }
 };
 
@@ -189,22 +136,14 @@ struct WriteManyRequest {
 struct TruncateRequest {
   FileId file_id = kInvalidFileId;
   std::uint32_t new_size_blocks = 0;
-  void encode(util::Writer& w) const {
-    w.u32(file_id);
-    w.u32(new_size_blocks);
-  }
-  static TruncateRequest decode(util::Reader& r) {
-    TruncateRequest req;
-    req.file_id = r.u32();
-    req.new_size_blocks = r.u32();
-    return req;
+  static auto fields(auto& m) {
+    return std::tie(m.file_id, m.new_size_blocks);
   }
 };
 
 struct TruncateResponse {
   std::uint32_t size_blocks = 0;  ///< size after the truncate
-  void encode(util::Writer& w) const { w.u32(size_blocks); }
-  static TruncateResponse decode(util::Reader& r) { return {r.u32()}; }
+  static auto fields(auto& m) { return std::tie(m.size_blocks); }
 };
 
 }  // namespace bridge::efs

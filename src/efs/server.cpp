@@ -128,25 +128,20 @@ std::uint32_t EfsServer::estimate_track(const sim::Envelope& env) const {
 }
 
 void EfsServer::handle(sim::Context& ctx, const sim::Envelope& env) {
-  using util::Reader;
-  using util::Writer;
   try {
     switch (static_cast<MsgType>(env.type)) {
       case MsgType::kCreate: {
-        Reader r(env.payload);
-        auto req = CreateRequest::decode(r);
+        auto req = util::decode_from_bytes<CreateRequest>(env.payload);
         sim::send_reply(ctx, env, core_->create(ctx, req.file_id));
         return;
       }
       case MsgType::kDelete: {
-        Reader r(env.payload);
-        auto req = DeleteRequest::decode(r);
+        auto req = util::decode_from_bytes<DeleteRequest>(env.payload);
         sim::send_reply(ctx, env, core_->remove(ctx, req.file_id));
         return;
       }
       case MsgType::kInfo: {
-        Reader r(env.payload);
-        auto req = InfoRequest::decode(r);
+        auto req = util::decode_from_bytes<InfoRequest>(env.payload);
         auto result = core_->info(ctx, req.file_id);
         if (!result.is_ok()) {
           sim::send_reply(ctx, env, result.status());
@@ -159,15 +154,13 @@ void EfsServer::handle(sim::Context& ctx, const sim::Envelope& env) {
         return;
       }
       case MsgType::kWrite: {
-        Reader r(env.payload);
-        auto req = WriteRequest::decode(r);
-        auto result = core_->write(ctx, req.file_id, req.block_no, req.data);
-        sim::send_reply(ctx, env, result.status());
+        auto req = util::decode_from_bytes<WriteRequest>(env.payload);
+        sim::send_reply(ctx, env,
+                        core_->write(ctx, req.file_id, req.block_no, req.data));
         return;
       }
       case MsgType::kReadMany: {
-        Reader r(env.payload);
-        auto req = ReadManyRequest::decode(r);
+        auto req = util::decode_from_bytes<ReadManyRequest>(env.payload);
         ReadManyResponse resp;
         resp.blocks.reserve(req.block_nos.size());
         for (auto block_no : req.block_nos) {
@@ -176,15 +169,14 @@ void EfsServer::handle(sim::Context& ctx, const sim::Envelope& env) {
             sim::send_reply(ctx, env, result.status());
             return;
           }
-          resp.blocks.push_back(std::move(result.value().data));
+          resp.blocks.push_back(std::move(result).value());
         }
         sim::send_reply(ctx, env, util::ok_status(),
                         util::encode_to_bytes(resp));
         return;
       }
       case MsgType::kWriteMany: {
-        Reader r(env.payload);
-        auto req = WriteManyRequest::decode(r);
+        auto req = util::decode_from_bytes<WriteManyRequest>(env.payload);
         if (req.blocks.size() != req.block_nos.size()) {
           sim::send_reply(ctx, env,
                           util::invalid_argument("WriteMany length mismatch"));
@@ -208,14 +200,13 @@ void EfsServer::handle(sim::Context& ctx, const sim::Envelope& env) {
           sim::send_reply(ctx, env, st);
           return;
         }
-        auto result =
-            core_->write_run(ctx, req.file_id, req.block_nos, req.blocks);
-        sim::send_reply(ctx, env, result.status());
+        sim::send_reply(
+            ctx, env,
+            core_->write_run(ctx, req.file_id, req.block_nos, req.blocks));
         return;
       }
       case MsgType::kTruncate: {
-        Reader r(env.payload);
-        auto req = TruncateRequest::decode(r);
+        auto req = util::decode_from_bytes<TruncateRequest>(env.payload);
         auto st = core_->truncate(ctx, req.file_id, req.new_size_blocks);
         if (!st.is_ok()) {
           sim::send_reply(ctx, env, st);

@@ -23,6 +23,11 @@ class Mailbox;
 
 /// Location of a service: its mailbox plus the node it lives on (the node
 /// determines message latency).
+///
+/// The Get Info reply and parallel-open worker lists carry addresses.  Within
+/// the simulation an address is a capability (mailbox pointer + node), so it
+/// writes its own wire layout: the pointer as a u64, then the node; on a real
+/// network this would be a host/port pair.
 struct Address {
   Mailbox* box = nullptr;
   NodeId node = 0;
@@ -30,6 +35,17 @@ struct Address {
   [[nodiscard]] bool valid() const noexcept { return box != nullptr; }
   friend bool operator==(const Address& a, const Address& b) noexcept {
     return a.box == b.box;
+  }
+
+  void encode(util::Writer& w) const {
+    w.u64(reinterpret_cast<std::uintptr_t>(box));
+    w.u32(node);
+  }
+  static Address decode(util::Reader& r) {
+    Address addr;
+    addr.box = reinterpret_cast<Mailbox*>(static_cast<std::uintptr_t>(r.u64()));
+    addr.node = r.u32();
+    return addr;
   }
 };
 
@@ -52,30 +68,11 @@ struct Envelope {
 /// Modeled fixed wire overhead of an envelope (headers, addressing).
 inline constexpr std::size_t kEnvelopeOverheadBytes = 24;
 
-/// Serialize an Address into a payload.  Within the simulation an address is
-/// a capability (mailbox pointer + node); on a real network this would be a
-/// host/port pair.  The Get Info reply and parallel-open worker lists carry
-/// these.
-void encode_address(util::Writer& w, const Address& addr);
-Address decode_address(util::Reader& r);
-
 class Mailbox : public Channel<Envelope> {
  public:
   using Channel<Envelope>::Channel;
   [[nodiscard]] Address address() noexcept { return Address{this, node()}; }
 };
-
-inline void encode_address(util::Writer& w, const Address& addr) {
-  w.u64(reinterpret_cast<std::uintptr_t>(addr.box));
-  w.u32(addr.node);
-}
-
-inline Address decode_address(util::Reader& r) {
-  Address addr;
-  addr.box = reinterpret_cast<Mailbox*>(static_cast<std::uintptr_t>(r.u64()));
-  addr.node = r.u32();
-  return addr;
-}
 
 /// Deliver `env` to `dst`, modeling latency and accounting traffic.  The
 /// sender's trace context and the virtual send time are stamped on the

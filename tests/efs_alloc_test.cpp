@@ -153,7 +153,7 @@ TEST(Allocator, InvariantsHoldAfterEveryOperation) {
         if (w.is_ok()) {
           ++it->second;
         } else {
-          ASSERT_EQ(w.status().code(), util::ErrorCode::kOutOfSpace);
+          ASSERT_EQ(w.code(), util::ErrorCode::kOutOfSpace);
         }
       }
       ASSERT_TRUE(fs.verify_invariants().is_ok()) << "after op " << op;

@@ -43,8 +43,8 @@ TEST(EfsCore, CreateWriteReadRoundTrip) {
     ASSERT_TRUE(w.is_ok());
     auto r = efs.read(ctx, 42, 0);
     ASSERT_TRUE(r.is_ok());
-    EXPECT_EQ(r.value().data, payload(1));
-    EXPECT_EQ(r.value().addr, w.value());
+    EXPECT_EQ(r.value(), payload(1));
+    EXPECT_NE(efs.peek_block_addr(42, 0), kNilAddr);
   });
 }
 
@@ -60,7 +60,7 @@ TEST(EfsCore, SequentialAppendBuildsContiguousExtents) {
     for (std::uint32_t i = 0; i < 20; ++i) {
       auto r = efs.read(ctx, 7, i);
       ASSERT_TRUE(r.is_ok()) << "block " << i;
-      EXPECT_EQ(r.value().data, payload(i));
+      EXPECT_EQ(r.value(), payload(i));
     }
     // An uncontended sequential append never starts a second extent: the
     // file is one physically contiguous run.
@@ -81,7 +81,7 @@ TEST(EfsCore, OverwriteReplacesDataPreservingExtents) {
     ASSERT_TRUE(efs.write(ctx, 3, 2, payload(99)).is_ok());
     auto r = efs.read(ctx, 3, 2);
     ASSERT_TRUE(r.is_ok());
-    EXPECT_EQ(r.value().data, payload(99));
+    EXPECT_EQ(r.value(), payload(99));
     auto info = efs.info(ctx, 3);
     EXPECT_EQ(info.value().size_blocks, 5u);  // no growth
     EXPECT_TRUE(efs.verify_integrity().is_ok());
@@ -91,7 +91,7 @@ TEST(EfsCore, OverwriteReplacesDataPreservingExtents) {
 TEST(EfsCore, GapWriteRejected) {
   with_efs([](sim::Context& ctx, EfsCore& efs) {
     ASSERT_TRUE(efs.create(ctx, 1).is_ok());
-    EXPECT_EQ(efs.write(ctx, 1, 5, payload(0)).status().code(),
+    EXPECT_EQ(efs.write(ctx, 1, 5, payload(0)).code(),
               util::ErrorCode::kInvalidArgument);
   });
 }
@@ -156,7 +156,7 @@ TEST(EfsCore, DeletedBlocksAreReusable) {
     }
     auto r = efs.read(ctx, 2, 9);
     ASSERT_TRUE(r.is_ok());
-    EXPECT_EQ(r.value().data, payload(109));
+    EXPECT_EQ(r.value(), payload(109));
     EXPECT_TRUE(efs.verify_integrity().is_ok());
   });
 }
@@ -171,7 +171,7 @@ TEST(EfsCore, OutOfSpaceSurfaces) {
         while (true) {
           auto w = efs.write(ctx, 1, written, payload(written));
           if (!w.is_ok()) {
-            EXPECT_EQ(w.status().code(), util::ErrorCode::kOutOfSpace);
+            EXPECT_EQ(w.code(), util::ErrorCode::kOutOfSpace);
             break;
           }
           ++written;
@@ -212,7 +212,7 @@ TEST(EfsCore, RandomReadCostsOneLookupNotAWalk) {
     // here without a hint; the extent map resolves it in one lookup.
     auto r = efs.read(ctx, 4, 97);
     ASSERT_TRUE(r.is_ok());
-    EXPECT_EQ(r.value().data, payload(97));
+    EXPECT_EQ(r.value(), payload(97));
     EXPECT_EQ(efs.op_stats().extent_lookups - lookups_before, 1u);
   });
 }
@@ -279,7 +279,7 @@ TEST(EfsCore, ManyFilesStayDisjoint) {
       for (std::uint32_t i = 0; i < 15; ++i) {
         auto r = efs.read(ctx, f, i);
         ASSERT_TRUE(r.is_ok());
-        EXPECT_EQ(r.value().data, payload(f * 1000 + i));
+        EXPECT_EQ(r.value(), payload(f * 1000 + i));
       }
     }
     EXPECT_EQ(efs.file_count(), 12u);
@@ -314,7 +314,7 @@ TEST(EfsCore, SyncThenRemountPreservesEverything) {
     for (std::uint32_t i = 0; i < 25; ++i) {
       auto r = efs2.read(ctx, 21, i);
       ASSERT_TRUE(r.is_ok());
-      EXPECT_EQ(r.value().data, payload(i));
+      EXPECT_EQ(r.value(), payload(i));
     }
   });
   rt2.run();
@@ -325,7 +325,7 @@ TEST(EfsCore, WrongPayloadSizeRejected) {
   with_efs([](sim::Context& ctx, EfsCore& efs) {
     ASSERT_TRUE(efs.create(ctx, 1).is_ok());
     std::vector<std::byte> bad(100);
-    EXPECT_EQ(efs.write(ctx, 1, 0, bad).status().code(),
+    EXPECT_EQ(efs.write(ctx, 1, 0, bad).code(),
               util::ErrorCode::kInvalidArgument);
   });
 }
@@ -383,7 +383,7 @@ TEST(EfsCore, WriteRunCoalescesTrackFlushes) {
     for (std::uint32_t i = 0; i < 192; ++i) {
       auto r = efs.read(ctx, 8, i);
       ASSERT_TRUE(r.is_ok()) << "block " << i;
-      EXPECT_EQ(r.value().data, payload(i));
+      EXPECT_EQ(r.value(), payload(i));
     }
     EXPECT_TRUE(efs.verify_integrity().is_ok());
   });
@@ -413,7 +413,7 @@ TEST(EfsCore, WriteRunAndPerBlockWritesProduceIdenticalBlocks) {
       for (std::uint32_t i = 0; i < 23; ++i) {
         auto r = efs.read(ctx, 4, i);
         ASSERT_TRUE(r.is_ok());
-        out.push_back(r.value().data);
+        out.push_back(r.value());
       }
       EXPECT_TRUE(efs.verify_integrity().is_ok());
     });
@@ -457,7 +457,7 @@ TEST(EfsCore, TruncateFreesTailAndKeepsPrefix) {
     for (std::uint32_t i = 0; i < 5; ++i) {
       auto r = efs.read(ctx, 11, i);
       ASSERT_TRUE(r.is_ok()) << "block " << i;
-      EXPECT_EQ(r.value().data, payload(i));
+      EXPECT_EQ(r.value(), payload(i));
     }
     EXPECT_EQ(efs.read(ctx, 11, 5).status().code(),
               util::ErrorCode::kInvalidArgument);
@@ -481,7 +481,7 @@ TEST(EfsCore, TruncateToZeroThenReappend) {
       ASSERT_TRUE(efs.write(ctx, 4, i, payload(40 + i)).is_ok());
     }
     for (std::uint32_t i = 0; i < 3; ++i) {
-      EXPECT_EQ(efs.read(ctx, 4, i).value().data, payload(40 + i));
+      EXPECT_EQ(efs.read(ctx, 4, i).value(), payload(40 + i));
     }
     EXPECT_TRUE(efs.verify_integrity().is_ok());
   });
@@ -495,11 +495,11 @@ TEST(EfsCore, TruncateAfterTruncateAppendsAtBoundary) {
     }
     ASSERT_TRUE(efs.truncate(ctx, 6, 3).is_ok());
     // Appending at the new boundary continues the file; one past rejects.
-    EXPECT_EQ(efs.write(ctx, 6, 4, payload(0)).status().code(),
+    EXPECT_EQ(efs.write(ctx, 6, 4, payload(0)).code(),
               util::ErrorCode::kInvalidArgument);
     ASSERT_TRUE(efs.write(ctx, 6, 3, payload(33)).is_ok());
     EXPECT_EQ(efs.info(ctx, 6).value().size_blocks, 4u);
-    EXPECT_EQ(efs.read(ctx, 6, 3).value().data, payload(33));
+    EXPECT_EQ(efs.read(ctx, 6, 3).value(), payload(33));
     EXPECT_TRUE(efs.verify_integrity().is_ok());
   });
 }
@@ -539,7 +539,7 @@ TEST(EfsCore, TruncatePersistsAcrossRemount) {
   rt2.spawn(0, "t2", [&](sim::Context& ctx) {
     EXPECT_EQ(efs2.info(ctx, 2).value().size_blocks, 4u);
     for (std::uint32_t i = 0; i < 4; ++i) {
-      EXPECT_EQ(efs2.read(ctx, 2, i).value().data, payload(i));
+      EXPECT_EQ(efs2.read(ctx, 2, i).value(), payload(i));
     }
   });
   rt2.run();

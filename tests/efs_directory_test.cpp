@@ -40,9 +40,9 @@ TEST(EfsDirectory, CollidingIdsCoexist) {
     ASSERT_TRUE(fs.write(ctx, a, 0, payload(1)).is_ok());
     ASSERT_TRUE(fs.write(ctx, b, 0, payload(2)).is_ok());
     ASSERT_TRUE(fs.write(ctx, c, 0, payload(3)).is_ok());
-    EXPECT_EQ(fs.read(ctx, a, 0).value().data, payload(1));
-    EXPECT_EQ(fs.read(ctx, b, 0).value().data, payload(2));
-    EXPECT_EQ(fs.read(ctx, c, 0).value().data, payload(3));
+    EXPECT_EQ(fs.read(ctx, a, 0).value(), payload(1));
+    EXPECT_EQ(fs.read(ctx, b, 0).value(), payload(2));
+    EXPECT_EQ(fs.read(ctx, c, 0).value(), payload(3));
   });
   rt.run();
   EXPECT_TRUE(fs.verify_integrity().is_ok());
@@ -63,7 +63,7 @@ TEST(EfsDirectory, DeleteInMiddleOfProbeChainKeepsLaterEntriesFindable) {
     ASSERT_TRUE(fs.remove(ctx, b).is_ok());
     auto r = fs.read(ctx, c, 0);
     ASSERT_TRUE(r.is_ok());
-    EXPECT_EQ(r.value().data, payload(3));
+    EXPECT_EQ(r.value(), payload(3));
     // And b's slot is reusable.
     ASSERT_TRUE(fs.create(ctx, b).is_ok());
     EXPECT_EQ(fs.file_count(), 3u);
@@ -138,7 +138,7 @@ TEST(EfsDirectory, PersistsThroughSyncAndRemountWithCollisions) {
   rt2.spawn(0, "t", [&](sim::Context& ctx) {
     auto r = remounted.read(ctx, 3 + kDirCapacity, 0);
     ASSERT_TRUE(r.is_ok());
-    EXPECT_EQ(r.value().data, payload(20));
+    EXPECT_EQ(r.value(), payload(20));
     EXPECT_EQ(remounted.read(ctx, 3, 0).status().code(),
               util::ErrorCode::kNotFound);
   });

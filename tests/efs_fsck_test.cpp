@@ -148,7 +148,7 @@ TEST(Fsck, GarbageDataBlockTruncatesFile) {
     for (std::uint32_t i = 0; i < 5; ++i) {
       auto r = fs.read(ctx, 1, i);
       ASSERT_TRUE(r.is_ok());
-      EXPECT_EQ(r.value().data, payload(100 + i));
+      EXPECT_EQ(r.value(), payload(100 + i));
     }
   });
   rt.run();
@@ -175,7 +175,7 @@ TEST(Fsck, DestroyedExtentTableIsSalvagedFromDataHeaders) {
     EXPECT_EQ(fs.info(ctx, 1).value().size_blocks, 8u);
     EXPECT_EQ(fs.info(ctx, 2).value().size_blocks, 8u);
     for (std::uint32_t i = 0; i < 8; ++i) {
-      EXPECT_EQ(fs.read(ctx, 2, i).value().data,
+      EXPECT_EQ(fs.read(ctx, 2, i).value(),
                 payload(200 + i));
     }
   });
@@ -271,7 +271,7 @@ TEST(Fsck, CrossLinkedTableTruncatesAtForeignBlock) {
     EXPECT_EQ(fs.info(ctx, 1).value().size_blocks, 6u);
     EXPECT_EQ(fs.info(ctx, 2).value().size_blocks, 6u);
     for (std::uint32_t i = 0; i < 6; ++i) {
-      EXPECT_EQ(fs.read(ctx, 1, i).value().data,
+      EXPECT_EQ(fs.read(ctx, 1, i).value(),
                 payload(100 + i));
     }
   });

@@ -91,7 +91,7 @@ TEST_P(EfsRandomOps, MatchesReferenceModel) {
         if (result.is_ok()) {
           it->second.push_back(tag);
         } else {
-          EXPECT_EQ(result.status().code(), util::ErrorCode::kOutOfSpace);
+          EXPECT_EQ(result.code(), util::ErrorCode::kOutOfSpace);
         }
       } else if (action < 68 && !model.empty()) {
         // Truncate a random file to a random smaller size.
@@ -122,7 +122,7 @@ TEST_P(EfsRandomOps, MatchesReferenceModel) {
               rng.next_below(it->second.size()));
           auto result = fs.read(ctx, it->first, block);
           ASSERT_TRUE(result.is_ok());
-          EXPECT_EQ(result.value().data, payload_for(it->second[block]))
+          EXPECT_EQ(result.value(), payload_for(it->second[block]))
               << "file " << it->first << " block " << block;
         }
       }
@@ -142,7 +142,7 @@ TEST_P(EfsRandomOps, MatchesReferenceModel) {
       for (std::uint32_t b = 0; b < blocks.size(); ++b) {
         auto result = fs.read(ctx, id, b);
         ASSERT_TRUE(result.is_ok());
-        EXPECT_EQ(result.value().data, payload_for(blocks[b]));
+        EXPECT_EQ(result.value(), payload_for(blocks[b]));
       }
     }
     // Allocated space = model data blocks + the extent-table blocks backing

@@ -55,7 +55,7 @@ TEST(DiskImage, SaveAndLoadRoundTrip) {
       for (std::uint32_t i = 0; i < 12; ++i) {
         auto r = fs.read(ctx, 9, i);
         ASSERT_TRUE(r.is_ok());
-        EXPECT_EQ(r.value().data, payload(i));
+        EXPECT_EQ(r.value(), payload(i));
       }
     });
     rt.run();
