@@ -238,15 +238,9 @@ util::Status BridgeInstance::save_machine(
 }
 
 util::Status BridgeInstance::load_machine(const std::string& directory_path) {
-  for (std::size_t i = 0; i < lfs_servers_.size(); ++i) {
-    auto path = directory_path + "/lfs" + std::to_string(i) + ".img";
-    if (auto st = lfs_servers_[i]->disk().load_image(path); !st.is_ok()) {
-      return st;
-    }
-    if (auto st = lfs_servers_[i]->core().remount_from_disk(); !st.is_ok()) {
-      return st;
-    }
-  }
+  // Decode every directory snapshot before loading anything, so a missing
+  // or corrupt one leaves the whole machine as it was.
+  std::vector<BridgeServer::State> states;
   for (std::size_t s = 0; s < bridges_.size(); ++s) {
     auto path = directory_path + "/bridge" + std::to_string(s) + ".dir";
     std::FILE* file = std::fopen(path.c_str(), "rb");
@@ -259,7 +253,21 @@ util::Status BridgeInstance::load_machine(const std::string& directory_path) {
     }
     std::fclose(file);
     util::Reader r(blob);
-    if (auto st = bridges_[s]->decode_state(r); !st.is_ok()) return st;
+    auto state = bridges_[s]->decode_state(r);
+    if (!state.is_ok()) return state.status();
+    states.push_back(std::move(state).value());
+  }
+  for (std::size_t i = 0; i < lfs_servers_.size(); ++i) {
+    auto path = directory_path + "/lfs" + std::to_string(i) + ".img";
+    if (auto st = lfs_servers_[i]->disk().load_image(path); !st.is_ok()) {
+      return st;
+    }
+    if (auto st = lfs_servers_[i]->core().remount_from_disk(); !st.is_ok()) {
+      return st;
+    }
+  }
+  for (std::size_t s = 0; s < bridges_.size(); ++s) {
+    bridges_[s]->install_state(std::move(states[s]));
   }
   return util::ok_status();
 }

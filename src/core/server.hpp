@@ -115,8 +115,13 @@ class BridgeServer {
   /// with the semi-stateless Open of §4.1.  Call while the simulation is
   /// idle (administrative shutdown).
   void encode_state(util::Writer& w) const;
-  /// Restore state saved by encode_state.  Call before the serve loop runs.
-  util::Status decode_state(util::Reader& r);
+  /// A directory snapshot read by decode_state, not yet in effect.
+  struct State;
+  /// Decode state saved by encode_state without touching this server, so
+  /// a caller can check every server's snapshot before installing any.
+  util::Result<State> decode_state(util::Reader& r) const;
+  /// Put a decoded snapshot in effect.  Call before the serve loop runs.
+  void install_state(State state);
 
  private:
   struct FileRecord {
@@ -130,6 +135,15 @@ class BridgeServer {
     std::uint64_t read_cursor = 0;
     std::uint64_t write_cursor = 0;
   };
+
+ public:
+  struct State {
+    BridgeFileId next_file_id = 0;
+    std::unordered_map<std::string, FileRecord> directory;
+    std::unordered_map<BridgeFileId, std::string> id_index;
+  };
+
+ private:
   /// An open session and the file it reads and writes.
   struct SessionFile {
     Session& session;
