@@ -9,7 +9,11 @@
 //
 // We drive N concurrent naive readers through the server and watch aggregate
 // throughput saturate, then run the same aggregate workload tool-style
-// (direct LFS access) where the server is only touched at startup.
+// (direct LFS access) where the server is only touched at startup.  The last
+// two tables take the other §4.1 answer: the directory partitioned by name
+// across k Bridge Servers (SystemConfig::num_bridge_servers).  The same
+// BridgeClient serves every row; it routes each call to the server whose
+// home its name or handle carries.
 #include <cstdio>
 
 #include "bench/bench_util.hpp"
@@ -132,7 +136,7 @@ double tool_aggregate_rec_per_sec(std::uint32_t p, std::uint32_t clients,
 }
 
 /// The same naive aggregate with the directory distributed across k Bridge
-/// Servers (RoutedBridgeClient): §4.1's "distributed collection".
+/// Servers: §4.1's "distributed collection".
 double routed_aggregate_rec_per_sec(std::uint32_t p, std::uint32_t servers,
                                     std::uint32_t clients,
                                     std::uint64_t records_each) {
@@ -141,11 +145,11 @@ double routed_aggregate_rec_per_sec(std::uint32_t p, std::uint32_t servers,
   cfg.efs.cache.capacity_blocks = 512;
   cfg.num_bridge_servers = servers;
   core::BridgeInstance inst(cfg);
-  // Fill through the router so every file lands on its home server.
+  // Fill through the client so every file lands on its home server.
   for (std::uint32_t c = 0; c < clients; ++c) {
-    inst.run_routed_client(
+    inst.run_client(
         "fill" + std::to_string(c),
-        [&, c](sim::Context&, core::RoutedBridgeClient& client) {
+        [&, c](sim::Context&, core::BridgeClient& client) {
           std::string name = "f" + std::to_string(c);
           if (!client.create(name).is_ok()) return;
           auto open = client.open(name);
@@ -161,9 +165,9 @@ double routed_aggregate_rec_per_sec(std::uint32_t p, std::uint32_t servers,
   }
   std::vector<sim::SimTime> started(clients), done(clients);
   for (std::uint32_t c = 0; c < clients; ++c) {
-    inst.run_routed_client(
+    inst.run_client(
         "reader" + std::to_string(c),
-        [&, c](sim::Context& ctx, core::RoutedBridgeClient& client) {
+        [&, c](sim::Context& ctx, core::BridgeClient& client) {
           started[c] = ctx.now();
           auto open = client.open("f" + std::to_string(c));
           if (!open.is_ok()) return;
@@ -183,7 +187,7 @@ double routed_aggregate_rec_per_sec(std::uint32_t p, std::uint32_t servers,
                             static_cast<double>(records_each) / seconds;
 }
 
-/// Write-heavy namespace workload through k routed servers: each client
+/// Write-heavy namespace workload across k servers: each client
 /// creates its own files and streams a few records into each.  create/open
 /// carry the big server CPU charges (136 ms / 77 ms), so with one server the
 /// aggregate serializes behind its CPU and with k servers it scales nearly
@@ -200,9 +204,9 @@ double routed_write_heavy_files_per_sec(std::uint32_t p, std::uint32_t servers,
   core::BridgeInstance inst(cfg);
   std::vector<sim::SimTime> started(clients), done(clients);
   for (std::uint32_t c = 0; c < clients; ++c) {
-    inst.run_routed_client(
+    inst.run_client(
         "writer" + std::to_string(c),
-        [&, c](sim::Context& ctx, core::RoutedBridgeClient& client) {
+        [&, c](sim::Context& ctx, core::BridgeClient& client) {
           started[c] = ctx.now();
           for (std::uint32_t f = 0; f < files_each; ++f) {
             std::string name =
@@ -244,9 +248,9 @@ double routed_mixed_ops_per_sec(std::uint32_t p, std::uint32_t servers,
   std::vector<sim::SimTime> started(clients), done(clients);
   std::vector<std::uint64_t> ops(clients, 0);
   for (std::uint32_t c = 0; c < clients; ++c) {
-    inst.run_routed_client(
+    inst.run_client(
         "mixed" + std::to_string(c),
-        [&, c](sim::Context& ctx, core::RoutedBridgeClient& client) {
+        [&, c](sim::Context& ctx, core::BridgeClient& client) {
           started[c] = ctx.now();
           for (std::uint32_t i = 0; i < iterations; ++i) {
             std::string tmp =
@@ -321,7 +325,7 @@ int main(int argc, char** argv) {
                {"tool_rec_per_sec", tool}});
   }
   std::printf("\ndistributing the directory (8 naive clients, k servers,\n"
-              "RoutedBridgeClient):\n");
+              "names partitioned by hash):\n");
   std::printf("%8s | %18s\n", "servers", "naive aggregate");
   std::printf("---------+-------------------\n");
   for (std::uint32_t servers : {1u, 2u, 4u}) {
@@ -336,7 +340,7 @@ int main(int argc, char** argv) {
                {"naive_rec_per_sec", rate}});
   }
   std::printf("\nwrite-heavy and mixed namespace workloads (8 clients,\n"
-              "k servers, RoutedBridgeClient):\n");
+              "k servers, names partitioned by hash):\n");
   std::printf("%8s | %18s | %18s\n", "servers", "write-heavy",
               "mixed namespace");
   std::printf("---------+--------------------+-------------------\n");

@@ -1,11 +1,11 @@
 // Abstract Bridge client API.
 //
-// Tools and applications program against this interface; it is implemented
-// by BridgeClient (one centralized server, the paper's prototype) and by
-// RoutedBridgeClient (a distributed collection of servers partitioning the
-// directory by name — the scaling path §4.1 sketches: "If requests to the
-// server are frequent enough to cause a bottleneck, the same functionality
-// could be provided by a distributed collection of processes").
+// Tools and applications program against this interface.  BridgeClient
+// implements it for one centralized server (the paper's prototype) and for a
+// distributed collection of servers partitioning the directory by name — the
+// scaling path §4.1 sketches: "If requests to the server are frequent enough
+// to cause a bottleneck, the same functionality could be provided by a
+// distributed collection of processes".
 #pragma once
 
 #include <string>
@@ -75,16 +75,16 @@ class BridgeApi {
 
   /// Rename `from` to `to` (target must not exist; members of a
   /// mirrored/parity group are rejected).  Returns the file's id after the
-  /// rename: under a routed directory the file may move to the home server
-  /// of the new name, in which case a NEW id (tagged with the new home) is
-  /// returned and the old id stops resolving.  Open sessions on the old
+  /// rename: on a machine with several Bridge Servers the file may move to
+  /// the home server of the new name, in which case a NEW id (minted by the
+  /// new home) is returned and the old id stops resolving.  Open sessions on the old
   /// server do not follow a cross-server move.
   virtual util::Result<BridgeFileId> rename(const std::string& from,
                                             const std::string& to) = 0;
 
   /// List directory entries whose name starts with `prefix` (empty = all),
-  /// sorted by name.  Under a routed directory the listing fans out to every
-  /// server concurrently and merges the sorted partitions deterministically.
+  /// sorted by name.  With several Bridge Servers the listing fans out to
+  /// every server concurrently and sorts their disjoint partitions together.
   virtual util::Result<std::vector<ListEntry>> list(
       const std::string& prefix) = 0;
 

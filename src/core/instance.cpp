@@ -16,20 +16,16 @@ BridgeInstance::BridgeInstance(SystemConfig config) : config_(config) {
     nodes.push_back(i);
   }
   for (std::uint32_t s = 0; s < std::max(1u, config_.num_bridge_servers); ++s) {
-    // Server s mints Bridge file ids from slice s: the id's top byte IS its
-    // home, so routed clients resolve a file's server from the id alone.
+    // Server s mints file ids, sessions and jobs from slice s: an id's top
+    // byte IS its home, so a client finds its server from the id alone.
     bridges_.push_back(std::make_unique<BridgeServer>(
         *rt_, config_.bridge_node(s), config_.bridge, services, nodes,
         /*file_id_base=*/make_file_id_base(s)));
   }
   // Wire the routed group for cross-server namespace ops (rename handoff).
   if (bridges_.size() > 1) {
-    std::vector<sim::Address> peers;
-    peers.reserve(bridges_.size());
-    for (auto& server : bridges_) peers.push_back(server->address());
-    for (std::uint32_t s = 0; s < bridges_.size(); ++s) {
-      bridges_[s]->set_peers(peers, s);
-    }
+    std::vector<sim::Address> peers = bridge_addresses();
+    for (auto& server : bridges_) server->set_peers(peers);
   }
 }
 
@@ -44,22 +40,10 @@ sim::ProcessHandle BridgeInstance::run_client(
     const std::string& name,
     std::function<void(sim::Context&, BridgeClient&)> body) {
   start();
-  sim::Address server = bridges_[0]->address();
-  return rt_->spawn(config_.client_node(), name,
-                    [server, body = std::move(body)](sim::Context& ctx) {
-                      BridgeClient client(ctx, server);
-                      body(ctx, client);
-                    });
-}
-
-sim::ProcessHandle BridgeInstance::run_routed_client(
-    const std::string& name,
-    std::function<void(sim::Context&, RoutedBridgeClient&)> body) {
-  start();
   std::vector<sim::Address> servers = bridge_addresses();
   return rt_->spawn(config_.client_node(), name,
                     [servers, body = std::move(body)](sim::Context& ctx) {
-                      RoutedBridgeClient client(ctx, servers);
+                      BridgeClient client(ctx, servers);
                       body(ctx, client);
                     });
 }
@@ -274,7 +258,7 @@ util::Status BridgeInstance::load_machine(const std::string& directory_path) {
 
 util::Status BridgeInstance::verify_all_lfs() const {
   for (const auto& server : lfs_servers_) {
-    if (auto st = server->core().verify_integrity(); !st.is_ok()) return st;
+    if (auto st = server->core().verify_invariants(); !st.is_ok()) return st;
   }
   return util::ok_status();
 }

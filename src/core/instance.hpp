@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "src/core/client.hpp"
-#include "src/core/routed_client.hpp"
 #include "src/core/config.hpp"
 #include "src/core/server.hpp"
 #include "src/efs/server.hpp"
@@ -54,16 +53,10 @@ class BridgeInstance {
   }
 
   /// Spawn a client program on the front-end node with a ready BridgeClient
-  /// (connected to server 0).
+  /// wired to every Bridge Server.
   sim::ProcessHandle run_client(
       const std::string& name,
       std::function<void(sim::Context&, BridgeClient&)> body);
-
-  /// Spawn a client wired to ALL Bridge Servers through a RoutedBridgeClient
-  /// (the distributed-directory configuration).
-  sim::ProcessHandle run_routed_client(
-      const std::string& name,
-      std::function<void(sim::Context&, RoutedBridgeClient&)> body);
 
   /// Run the simulation until quiescent.
   void run() { rt_->run(); }

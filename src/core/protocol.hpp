@@ -31,13 +31,14 @@ using BridgeFileId = std::uint32_t;
 
 // --- Distributed-directory addressing ---------------------------------------
 //
-// When the directory is partitioned across k Bridge Servers, every durable
-// identifier must be routable WITHOUT consulting any client-side map (a map
-// keyed by raw per-server ids clobbers whenever two servers mint the same
-// id, and it goes stale on delete).  The top byte of a BridgeFileId is its
-// home server index — each server mints ids from its own 2^24-wide slice —
-// so the id itself says where the file's directory entry lives, exactly as
-// session/job ids carry their home in the top byte of the 64-bit handle.
+// When the directory is partitioned across k Bridge Servers, every handle a
+// server hands out says which server minted it, so a client routes each call
+// from its arguments alone and holds no per-file state.  A name's home is a
+// hash of the name (directory_home).  Every id carries its home in its top
+// byte, minted by that server from its own slice: a BridgeFileId from a
+// 2^24-wide slice, a 64-bit session or job handle from a 2^56-wide one.  A
+// one-server machine's ids are the historical ones (files from 1000,
+// sessions and jobs from 1).
 
 /// Top byte of a BridgeFileId carries the minting server's home index.
 inline constexpr std::uint32_t kFileIdHomeShift = 24;
@@ -55,10 +56,23 @@ constexpr BridgeFileId make_file_id_base(std::uint32_t home) noexcept {
   return (home << kFileIdHomeShift) | BridgeFileId{1000};
 }
 
+/// Top byte of a session or job handle carries the minting server's home.
+inline constexpr std::uint32_t kHandleHomeShift = 56;
+
+/// Home server index encoded in a session or job handle.
+constexpr std::uint64_t handle_home(std::uint64_t handle) noexcept {
+  return handle >> kHandleHomeShift;
+}
+
+/// First session (and first job) handle of server `home`'s slice.
+constexpr std::uint64_t make_handle_base(std::uint32_t home) noexcept {
+  return (std::uint64_t{home} << kHandleHomeShift) | 1;
+}
+
 /// Which server owns directory entry `name` in a k-server partition.  Shared
-/// by RoutedBridgeClient (request routing) and BridgeServer (cross-server
-/// rename: the source computes the destination of the new name), so the two
-/// sides can never disagree about a name's home.
+/// by BridgeClient (request routing) and BridgeServer (cross-server rename:
+/// the source computes the destination of the new name), so the two sides
+/// can never disagree about a name's home.
 inline std::uint32_t directory_home(std::string_view name,
                                     std::size_t num_servers) {
   auto bytes = std::span<const std::byte>(
@@ -114,9 +128,9 @@ enum class BridgeMsg : std::uint32_t {
   /// so exactly one server can ever mutate the file's placement.
   kRename = 0x212,
   /// Extension: list directory entries (optionally under a name prefix),
-  /// sorted by name.  A routed client fans this out to every server and
-  /// merges the sorted partitions deterministically — the "Scalable Unix
-  /// Commands" global-listing pattern.
+  /// sorted by name.  Each server lists only its own partition; the client
+  /// sends one kList to every server and sorts the union by name — the
+  /// "Scalable Unix Commands" global-listing pattern.
   kList = 0x213,
   // Server -> server messages for the cross-server rename handoff:
   /// Coordinator -> destination: install the detached record under its new
@@ -364,8 +378,9 @@ struct ListEntry {
   }
 };
 
-/// Entries sorted by name (each server sorts its partition; the routed
-/// client's k-way merge then yields one globally sorted listing).
+/// One server's entries, sorted by name.  A name has one home, so the
+/// partitions are disjoint and the client's sort of their union is one
+/// deterministic global listing.
 struct ListResponse {
   std::vector<ListEntry> entries;
   static auto fields(auto& m) { return std::tie(m.entries); }

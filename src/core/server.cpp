@@ -53,6 +53,8 @@ BridgeServer::BridgeServer(sim::Runtime& rt, sim::NodeId node,
       lfs_nodes_(std::move(lfs_nodes)) {
   next_file_id_ = file_id_base;
   home_ = file_id_home(file_id_base);
+  next_session_ = make_handle_base(home_);
+  next_job_ = make_handle_base(home_);
   mailbox_ = std::make_unique<sim::Mailbox>(rt.scheduler(), node);
 }
 
@@ -1170,7 +1172,7 @@ void BridgeServer::handle_rename_ack(Wire& wire, const sim::Envelope& env) {
   }
   if (ack.code == static_cast<std::uint8_t>(util::ErrorCode::kOk)) {
     // Commit: the destination owns the record now; the old id is dead
-    // (routed clients re-derive the home from the new id's tag).
+    // (clients route by the new id's home byte).
     RenameResponse resp{ack.new_id};
     return sim::send_reply(wire.ctx, pending.client_env, util::ok_status(),
                            util::encode_to_bytes(resp));

@@ -9,8 +9,11 @@
 // for tools.  It is also the monitor around all directory operations —
 // Create, Delete and Open happen only here (§4.2).
 //
-// Like the prototype it is a single centralized process; the paper notes the
-// same functionality could be distributed if it became a bottleneck.
+// Like the prototype it is a single centralized process by default; the
+// paper notes the same functionality could be distributed if it became a
+// bottleneck.  With SystemConfig::num_bridge_servers = k, each of k servers
+// owns a name partition of the directory and mints every file id, session
+// and job handle with its own home in the top byte.
 #pragma once
 
 #include <cstdint>
@@ -76,7 +79,8 @@ class BridgeServer {
  public:
   /// `lfs_services[i]` / `lfs_nodes[i]` locate LFS instance i.
   /// `file_id_base` partitions the LFS file-id space when several Bridge
-  /// Servers share one machine (each needs disjoint constituent ids).
+  /// Servers share one machine (each needs disjoint constituent ids); its
+  /// home byte is also the home of every session and job handle minted here.
   BridgeServer(sim::Runtime& rt, sim::NodeId node, BridgeConfig config,
                std::vector<sim::Address> lfs_services,
                std::vector<std::uint32_t> lfs_nodes,
@@ -96,13 +100,11 @@ class BridgeServer {
   void reset_stats() noexcept { stats_.reset(); }
   [[nodiscard]] sim::NodeId node() const noexcept { return node_; }
   /// Wire this server into a routed group: `peers[i]` is the service address
-  /// of the Bridge Server homed at directory index i (`peers[home]` is this
+  /// of the Bridge Server homed at directory index i (`peers[home()]` is this
   /// server).  Enables the cross-server rename path.  Call before start().
-  void set_peers(std::vector<sim::Address> peers, std::uint32_t home) {
-    peers_ = std::move(peers);
-    home_ = home;
-  }
-  /// This server's home index within its routed group (0 when standalone).
+  void set_peers(std::vector<sim::Address> peers) { peers_ = std::move(peers); }
+  /// This server's home index within its routed group: the top byte of
+  /// `file_id_base`, and of every id and handle it mints.
   [[nodiscard]] std::uint32_t home() const noexcept { return home_; }
   /// Number of Bridge files currently in the directory (tests).
   [[nodiscard]] std::size_t directory_size() const noexcept {
@@ -274,8 +276,8 @@ class BridgeServer {
   std::uint64_t next_rename_seq_ = 1;
 
   BridgeFileId next_file_id_ = 1000;
-  std::uint64_t next_session_ = 1;
-  std::uint64_t next_job_ = 1;
+  std::uint64_t next_session_ = 0;  ///< from make_handle_base(home_)
+  std::uint64_t next_job_ = 0;      ///< from make_handle_base(home_)
   BridgeServerStats stats_;
   bool started_ = false;
 };

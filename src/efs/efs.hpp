@@ -146,10 +146,6 @@ class EfsCore {
   /// allocated bit is referenced), self-describing data headers, and
   /// allocated + free == capacity.  Returns the first violation found.
   [[nodiscard]] util::Status verify_invariants() const;
-  /// Back-compat alias for verify_invariants().
-  [[nodiscard]] util::Status verify_integrity() const {
-    return verify_invariants();
-  }
 
   [[nodiscard]] std::size_t free_block_count() const noexcept {
     return bitmap_.free_count();

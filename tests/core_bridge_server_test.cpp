@@ -413,7 +413,7 @@ TEST(SpanInvariantRouted, CrossServerRenameThenDeleteOnNewHome) {
   const std::string from = name_with_home("from", 0, 2);
   const std::string to = name_with_home("to", 1, 2);
 
-  inst.run_routed_client("c", [&](sim::Context&, RoutedBridgeClient& client) {
+  inst.run_client("c", [&](sim::Context&, BridgeClient& client) {
     ASSERT_TRUE(client.create(from, span_options(Distribution::kRoundRobin))
                     .is_ok());
     auto open = client.open(from);
@@ -432,7 +432,7 @@ TEST(SpanInvariantRouted, CrossServerRenameThenDeleteOnNewHome) {
   EXPECT_EQ(inst.server(1).stats().renames_in, 1u);
   expect_constituents(inst, span, 1);
 
-  inst.run_routed_client("rm", [&](sim::Context&, RoutedBridgeClient& client) {
+  inst.run_client("rm", [&](sim::Context&, BridgeClient& client) {
     ASSERT_TRUE(client.remove(to).is_ok());
   });
   inst.run();

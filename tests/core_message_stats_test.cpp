@@ -44,7 +44,7 @@ TEST(MessageStats, VectoredOpsAccountExactBytes) {
   sim::Runtime& rt = inst.runtime();
 
   rt.spawn(inst.bridge_address().node, "c", [&](sim::Context& ctx) {
-    BridgeClient client(ctx, inst.bridge_address());
+    BridgeClient client(ctx, {inst.bridge_address()});
     auto id = client.create("f");
     ASSERT_TRUE(id.is_ok());
     auto open = client.open("f");

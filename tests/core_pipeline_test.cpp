@@ -623,7 +623,7 @@ TEST(Pipeline, RoutedClientSpeaksVectoredOps) {
   auto cfg = test_config(4);
   cfg.num_bridge_servers = 2;
   BridgeInstance inst(cfg);
-  inst.run_routed_client("c", [&](sim::Context&, RoutedBridgeClient& client) {
+  inst.run_client("c", [&](sim::Context&, BridgeClient& client) {
     for (const char* name : {"alpha", "beta", "gamma"}) {
       auto id = client.create(name);
       ASSERT_TRUE(id.is_ok()) << name;

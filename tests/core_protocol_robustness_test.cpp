@@ -41,7 +41,7 @@ TEST(ProtocolRobustness, GarbagePayloadGetsErrorReply) {
         EXPECT_FALSE(reply.is_ok());
         EXPECT_EQ(reply.status().code(), util::ErrorCode::kInvalidArgument);
         // The server must still serve real requests afterwards.
-        BridgeClient client(ctx, server);
+        BridgeClient client(ctx, {server});
         server_alive_after = client.create("post-attack").is_ok();
       });
   inst.run();
@@ -198,7 +198,7 @@ TEST(ProtocolRobustness, OversizedCountGetsCorruptReply) {
           auto reply = rpc.call(c.to, c.type, oversized_count(c.prefix_bytes));
           codes.push_back(reply.status().code());
         }
-        BridgeClient client(ctx, server);
+        BridgeClient client(ctx, {server});
         bridge_alive = client.create("post-attack").is_ok();
         efs::EfsClient efs(rpc, lfs);
         lfs_alive = efs.create(4242).is_ok();
@@ -246,7 +246,7 @@ TEST(ProtocolRobustness, RandomPayloadsAlwaysGetAReply) {
              static_cast<std::uint32_t>(BridgeMsg::kList));
         fuzz(lfs, static_cast<std::uint32_t>(efs::MsgType::kCreate),
              static_cast<std::uint32_t>(efs::MsgType::kTruncate));
-        BridgeClient client(ctx, server);
+        BridgeClient client(ctx, {server});
         bridge_alive = client.create("post-fuzz").is_ok();
         efs::EfsClient efs(rpc, lfs);
         lfs_alive = efs.create(4243).is_ok();
@@ -286,7 +286,7 @@ TEST(ProtocolRobustness, CorruptRenameInstallGetsAbortAck) {
           acks.push_back(
               util::decode_from_bytes<RenameAck>(box.recv().payload));
         }
-        BridgeClient client(ctx, server);
+        BridgeClient client(ctx, {server});
         installed = client.open("moved").is_ok();
       });
   inst.run();

@@ -1,5 +1,6 @@
-// RoutedBridgeClient + multi-server BridgeInstance: directory partitioning,
-// session/job routing, id-space disjointness, and tools running unchanged
+// BridgeClient against a multi-server BridgeInstance (the routed directory):
+// directory partitioning, session/job routing by the home each server mints
+// into its handles, id-space disjointness, and tools running unchanged
 // against the distributed configuration.
 #include <gtest/gtest.h>
 
@@ -38,7 +39,7 @@ std::vector<std::byte> record(std::uint32_t tag) {
 
 TEST(RoutedClient, FilesSpreadAcrossServers) {
   BridgeInstance inst(cfg(4, 3));
-  inst.run_routed_client("c", [&](sim::Context&, RoutedBridgeClient& client) {
+  inst.run_client("c", [&](sim::Context&, BridgeClient& client) {
     for (int f = 0; f < 12; ++f) {
       ASSERT_TRUE(client.create("file" + std::to_string(f)).is_ok());
     }
@@ -58,7 +59,7 @@ TEST(RoutedClient, FilesSpreadAcrossServers) {
 TEST(RoutedClient, EndToEndReadWriteAcrossPartitions) {
   BridgeInstance inst(cfg(4, 2));
   int verified = 0;
-  inst.run_routed_client("c", [&](sim::Context&, RoutedBridgeClient& client) {
+  inst.run_client("c", [&](sim::Context&, BridgeClient& client) {
     for (int f = 0; f < 6; ++f) {
       std::string name = "data" + std::to_string(f);
       ASSERT_TRUE(client.create(name).is_ok());
@@ -93,7 +94,7 @@ TEST(RoutedClient, EndToEndReadWriteAcrossPartitions) {
 TEST(RoutedClient, LfsFileIdsDisjointAcrossServers) {
   BridgeInstance inst(cfg(4, 3));
   std::vector<BridgeFileId> ids;
-  inst.run_routed_client("c", [&](sim::Context&, RoutedBridgeClient& client) {
+  inst.run_client("c", [&](sim::Context&, BridgeClient& client) {
     for (int f = 0; f < 9; ++f) {
       auto id = client.create("x" + std::to_string(f));
       ASSERT_TRUE(id.is_ok());
@@ -107,7 +108,7 @@ TEST(RoutedClient, LfsFileIdsDisjointAcrossServers) {
 
 TEST(RoutedClient, RemoveManyPartitionsBatch) {
   BridgeInstance inst(cfg(4, 2));
-  inst.run_routed_client("c", [&](sim::Context&, RoutedBridgeClient& client) {
+  inst.run_client("c", [&](sim::Context&, BridgeClient& client) {
     std::vector<std::string> names;
     for (int f = 0; f < 8; ++f) {
       names.push_back("t" + std::to_string(f));
@@ -124,8 +125,7 @@ TEST(RoutedClient, RemoveManyPartitionsBatch) {
 TEST(RoutedClient, CopyToolRunsAgainstRoutedDirectory) {
   BridgeInstance inst(cfg(4, 2));
   std::uint64_t copied = 0;
-  inst.run_routed_client("tool", [&](sim::Context& ctx,
-                                     RoutedBridgeClient& client) {
+  inst.run_client("tool", [&](sim::Context& ctx, BridgeClient& client) {
     ASSERT_TRUE(client.create("src").is_ok());
     auto open = client.open("src");
     ASSERT_TRUE(open.is_ok());
@@ -151,8 +151,7 @@ TEST(RoutedClient, CopyToolRunsAgainstRoutedDirectory) {
 
 TEST(RoutedClient, SortToolRunsAgainstRoutedDirectory) {
   BridgeInstance inst(cfg(4, 3));
-  inst.run_routed_client("tool", [&](sim::Context& ctx,
-                                     RoutedBridgeClient& client) {
+  inst.run_client("tool", [&](sim::Context& ctx, BridgeClient& client) {
     ASSERT_TRUE(client.create("input").is_ok());
     auto open = client.open("input");
     ASSERT_TRUE(open.is_ok());
@@ -196,7 +195,7 @@ TEST(RoutedClient, CollidingLocalIdsRouteByHomeTag) {
   // one entry and routed its reads to the wrong server; ids tagged with
   // their home byte route correctly with no client state at all.
   BridgeInstance inst(cfg(4, 2));
-  inst.run_routed_client("c", [&](sim::Context&, RoutedBridgeClient& client) {
+  inst.run_client("c", [&](sim::Context&, BridgeClient& client) {
     std::string n0 = name_with_home("collide", 0, 2);
     std::string n1 = name_with_home("collide", 1, 2);
     auto id0 = client.create(n0);
@@ -220,7 +219,7 @@ TEST(RoutedClient, CollidingLocalIdsRouteByHomeTag) {
 
 TEST(RoutedClient, StaleIdAfterRemoveAndRecreateIsNotFound) {
   BridgeInstance inst(cfg(4, 2));
-  inst.run_routed_client("c", [&](sim::Context&, RoutedBridgeClient& client) {
+  inst.run_client("c", [&](sim::Context&, BridgeClient& client) {
     ASSERT_TRUE(client.create("victim").is_ok());
     auto open = client.open("victim");
     ASSERT_TRUE(open.is_ok());
@@ -247,7 +246,7 @@ TEST(RoutedClient, StaleIdAfterRemoveAndRecreateIsNotFound) {
 
 TEST(RoutedClient, OutOfRangeTagIsNotFoundNotMasked) {
   BridgeInstance inst(cfg(2, 2));
-  inst.run_routed_client("c", [&](sim::Context&, RoutedBridgeClient& client) {
+  inst.run_client("c", [&](sim::Context&, BridgeClient& client) {
     // A corrupt session/job tag must fail, not silently route to tag % k.
     std::uint64_t bogus_session = (200ull << 56) | 1ull;
     auto r = client.seq_read(bogus_session);
@@ -270,7 +269,7 @@ TEST(RoutedClient, OutOfRangeTagIsNotFoundNotMasked) {
 
 TEST(RoutedClient, RemoveManyAggregatesStatusesAcrossServers) {
   BridgeInstance inst(cfg(4, 2));
-  inst.run_routed_client("c", [&](sim::Context&, RoutedBridgeClient& client) {
+  inst.run_client("c", [&](sim::Context&, BridgeClient& client) {
     std::string present0 = name_with_home("p0_", 0, 2);
     std::string present1 = name_with_home("p1_", 1, 2);
     std::string missing0 = name_with_home("m0_", 0, 2);
@@ -290,7 +289,7 @@ TEST(RoutedClient, RemoveManyAggregatesStatusesAcrossServers) {
 
 TEST(RoutedClient, RenameWithinOneHomeKeepsIdAndSessions) {
   BridgeInstance inst(cfg(4, 2));
-  inst.run_routed_client("c", [&](sim::Context&, RoutedBridgeClient& client) {
+  inst.run_client("c", [&](sim::Context&, BridgeClient& client) {
     std::string from = name_with_home("local_from", 0, 2);
     std::string to = name_with_home("local_to", 0, 2);
     auto id = client.create(from);
@@ -317,7 +316,7 @@ TEST(RoutedClient, RenameWithinOneHomeKeepsIdAndSessions) {
 
 TEST(RoutedClient, CrossServerRenameMovesHomeAndKeepsData) {
   BridgeInstance inst(cfg(4, 2));
-  inst.run_routed_client("c", [&](sim::Context&, RoutedBridgeClient& client) {
+  inst.run_client("c", [&](sim::Context&, BridgeClient& client) {
     std::string from = name_with_home("xfrom", 0, 2);
     std::string to = name_with_home("xto", 1, 2);
     auto id = client.create(from);
@@ -360,7 +359,7 @@ TEST(RoutedClient, CrossServerRenameMovesHomeAndKeepsData) {
 
 TEST(RoutedClient, CrossServerRenameAbortsWhenTargetExists) {
   BridgeInstance inst(cfg(4, 2));
-  inst.run_routed_client("c", [&](sim::Context&, RoutedBridgeClient& client) {
+  inst.run_client("c", [&](sim::Context&, BridgeClient& client) {
     std::string from = name_with_home("abort_from", 0, 2);
     std::string to = name_with_home("abort_to", 1, 2);
     ASSERT_TRUE(client.create(from).is_ok());
@@ -387,7 +386,7 @@ TEST(RoutedClient, CrossServerRenameAbortsWhenTargetExists) {
 
 TEST(RoutedClient, GlobalListingMergesSortedAcrossServers) {
   BridgeInstance inst(cfg(4, 3));
-  inst.run_routed_client("c", [&](sim::Context&, RoutedBridgeClient& client) {
+  inst.run_client("c", [&](sim::Context&, BridgeClient& client) {
     for (int f = 0; f < 12; ++f) {
       ASSERT_TRUE(
           client.create("ls" + std::string(1, char('a' + f))).is_ok());
@@ -425,7 +424,7 @@ std::string rename_race_trace(std::uint64_t* access_count,
   inst.runtime().enable_race_check();
   inst.runtime().tracer().enable();
   auto workload = [](std::uint32_t base) {
-    return [base](sim::Context&, RoutedBridgeClient& client) {
+    return [base](sim::Context&, BridgeClient& client) {
       for (std::uint32_t i = 0; i < 4; ++i) {
         std::string from = "race_src_" + std::to_string(base + i);
         std::string to = "race_dst_" + std::to_string(i);  // shared targets
@@ -445,8 +444,8 @@ std::string rename_race_trace(std::uint64_t* access_count,
       }
     };
   };
-  inst.run_routed_client("racer-a", workload(0));
-  inst.run_routed_client("racer-b", workload(100));
+  inst.run_client("racer-a", workload(0));
+  inst.run_client("racer-b", workload(100));
   inst.run();
   *access_count = inst.runtime().race()->access_count();
   *race_report = inst.runtime().race()->report_text();
@@ -470,18 +469,39 @@ TEST(RoutedClient, RenameRaceFreeAndTraceDeterministic) {
   EXPECT_EQ(accesses1, accesses2);
 }
 
-TEST(RoutedClient, SingleServerDegeneratesToPlainClient) {
+TEST(RoutedClient, SessionAndJobHandlesCarryTheirHome) {
+  BridgeInstance inst(cfg(4, 3));
+  std::set<std::uint64_t> homes;
+  inst.run_client("c", [&](sim::Context& ctx, BridgeClient& client) {
+    ParallelWorker worker(ctx);
+    for (int f = 0; f < 9; ++f) {
+      std::string name = "h" + std::to_string(f);
+      ASSERT_TRUE(client.create(name).is_ok());
+      auto open = client.open(name);
+      ASSERT_TRUE(open.is_ok());
+      std::uint64_t home = directory_home(name, 3);
+      EXPECT_EQ(handle_home(open.value().session), home) << name;
+      auto job = client.parallel_open(open.value().session, {worker.address()});
+      ASSERT_TRUE(job.is_ok());
+      EXPECT_EQ(handle_home(job.value()), home) << name;
+      homes.insert(home);
+    }
+  });
+  inst.run();
+  EXPECT_GE(homes.size(), 2u);  // the handles came from more than one server
+}
+
+TEST(RoutedClient, OneServerMintsSessionAndJobOne) {
   BridgeInstance inst(cfg(2, 1));
-  inst.run_routed_client("c", [&](sim::Context&, RoutedBridgeClient& client) {
-    EXPECT_EQ(client.num_servers(), 1u);
+  inst.run_client("c", [&](sim::Context& ctx, BridgeClient& client) {
+    ParallelWorker worker(ctx);
     ASSERT_TRUE(client.create("f").is_ok());
     auto open = client.open("f");
     ASSERT_TRUE(open.is_ok());
-    ASSERT_TRUE(client.seq_write(open.value().session, record(1)).is_ok());
-    auto reopen = client.open("f");
-    auto r = client.seq_read(reopen.value().session);
-    ASSERT_TRUE(r.is_ok());
-    EXPECT_EQ(r.value().data, record(1));
+    EXPECT_EQ(open.value().session, 1u);
+    auto job = client.parallel_open(open.value().session, {worker.address()});
+    ASSERT_TRUE(job.is_ok());
+    EXPECT_EQ(job.value(), 1u);
   });
   inst.run();
 }

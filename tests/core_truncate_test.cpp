@@ -223,7 +223,7 @@ TEST(Truncate, RoutedClientRoutesToTheHomeServer) {
   auto cfg = test_config(4);
   cfg.num_bridge_servers = 3;
   BridgeInstance inst(cfg);
-  inst.run_routed_client("c", [&](sim::Context&, RoutedBridgeClient& client) {
+  inst.run_client("c", [&](sim::Context&, BridgeClient& client) {
     for (const char* name : {"alpha", "beta", "gamma"}) {
       ASSERT_TRUE(client.create(name).is_ok());
       auto open = client.open(name);

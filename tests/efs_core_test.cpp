@@ -84,7 +84,7 @@ TEST(EfsCore, OverwriteReplacesDataPreservingExtents) {
     EXPECT_EQ(r.value(), payload(99));
     auto info = efs.info(ctx, 3);
     EXPECT_EQ(info.value().size_blocks, 5u);  // no growth
-    EXPECT_TRUE(efs.verify_integrity().is_ok());
+    EXPECT_TRUE(efs.verify_invariants().is_ok());
   });
 }
 
@@ -139,7 +139,7 @@ TEST(EfsCore, DeleteFreesEveryBlock) {
     ASSERT_TRUE(efs.remove(ctx, 11).is_ok());
     EXPECT_EQ(efs.free_block_count(), free_before);
     EXPECT_EQ(efs.file_count(), 0u);
-    EXPECT_TRUE(efs.verify_integrity().is_ok());
+    EXPECT_TRUE(efs.verify_invariants().is_ok());
   });
 }
 
@@ -157,7 +157,7 @@ TEST(EfsCore, DeletedBlocksAreReusable) {
     auto r = efs.read(ctx, 2, 9);
     ASSERT_TRUE(r.is_ok());
     EXPECT_EQ(r.value(), payload(109));
-    EXPECT_TRUE(efs.verify_integrity().is_ok());
+    EXPECT_TRUE(efs.verify_invariants().is_ok());
   });
 }
 
@@ -178,7 +178,7 @@ TEST(EfsCore, OutOfSpaceSurfaces) {
           ASSERT_LT(written, 100u);
         }
         EXPECT_EQ(written, 21u);
-        EXPECT_TRUE(efs.verify_integrity().is_ok());
+        EXPECT_TRUE(efs.verify_invariants().is_ok());
       },
       EfsConfig{}, /*tracks=*/8);
 }
@@ -283,7 +283,7 @@ TEST(EfsCore, ManyFilesStayDisjoint) {
       }
     }
     EXPECT_EQ(efs.file_count(), 12u);
-    EXPECT_TRUE(efs.verify_integrity().is_ok());
+    EXPECT_TRUE(efs.verify_invariants().is_ok());
   });
 }
 
@@ -318,7 +318,7 @@ TEST(EfsCore, SyncThenRemountPreservesEverything) {
     }
   });
   rt2.run();
-  EXPECT_TRUE(efs2.verify_integrity().is_ok());
+  EXPECT_TRUE(efs2.verify_invariants().is_ok());
 }
 
 TEST(EfsCore, WrongPayloadSizeRejected) {
@@ -385,7 +385,7 @@ TEST(EfsCore, WriteRunCoalescesTrackFlushes) {
       ASSERT_TRUE(r.is_ok()) << "block " << i;
       EXPECT_EQ(r.value(), payload(i));
     }
-    EXPECT_TRUE(efs.verify_integrity().is_ok());
+    EXPECT_TRUE(efs.verify_invariants().is_ok());
   });
 }
 
@@ -415,7 +415,7 @@ TEST(EfsCore, WriteRunAndPerBlockWritesProduceIdenticalBlocks) {
         ASSERT_TRUE(r.is_ok());
         out.push_back(r.value());
       }
-      EXPECT_TRUE(efs.verify_integrity().is_ok());
+      EXPECT_TRUE(efs.verify_invariants().is_ok());
     });
   };
   collect(true, via_run);
@@ -461,7 +461,7 @@ TEST(EfsCore, TruncateFreesTailAndKeepsPrefix) {
     }
     EXPECT_EQ(efs.read(ctx, 11, 5).status().code(),
               util::ErrorCode::kInvalidArgument);
-    EXPECT_TRUE(efs.verify_integrity().is_ok());
+    EXPECT_TRUE(efs.verify_invariants().is_ok());
     EXPECT_EQ(efs.op_stats().truncates, 1u);
   });
 }
@@ -483,7 +483,7 @@ TEST(EfsCore, TruncateToZeroThenReappend) {
     for (std::uint32_t i = 0; i < 3; ++i) {
       EXPECT_EQ(efs.read(ctx, 4, i).value(), payload(40 + i));
     }
-    EXPECT_TRUE(efs.verify_integrity().is_ok());
+    EXPECT_TRUE(efs.verify_invariants().is_ok());
   });
 }
 
@@ -500,7 +500,7 @@ TEST(EfsCore, TruncateAfterTruncateAppendsAtBoundary) {
     ASSERT_TRUE(efs.write(ctx, 6, 3, payload(33)).is_ok());
     EXPECT_EQ(efs.info(ctx, 6).value().size_blocks, 4u);
     EXPECT_EQ(efs.read(ctx, 6, 3).value(), payload(33));
-    EXPECT_TRUE(efs.verify_integrity().is_ok());
+    EXPECT_TRUE(efs.verify_invariants().is_ok());
   });
 }
 
@@ -543,7 +543,7 @@ TEST(EfsCore, TruncatePersistsAcrossRemount) {
     }
   });
   rt2.run();
-  EXPECT_TRUE(efs2.verify_integrity().is_ok());
+  EXPECT_TRUE(efs2.verify_invariants().is_ok());
 }
 
 TEST(EfsCore, AdaptiveReadaheadDeepensWithRunLength) {

@@ -45,7 +45,7 @@ TEST(EfsDirectory, CollidingIdsCoexist) {
     EXPECT_EQ(fs.read(ctx, c, 0).value(), payload(3));
   });
   rt.run();
-  EXPECT_TRUE(fs.verify_integrity().is_ok());
+  EXPECT_TRUE(fs.verify_invariants().is_ok());
 }
 
 TEST(EfsDirectory, DeleteInMiddleOfProbeChainKeepsLaterEntriesFindable) {
@@ -69,7 +69,7 @@ TEST(EfsDirectory, DeleteInMiddleOfProbeChainKeepsLaterEntriesFindable) {
     EXPECT_EQ(fs.file_count(), 3u);
   });
   rt.run();
-  EXPECT_TRUE(fs.verify_integrity().is_ok());
+  EXPECT_TRUE(fs.verify_invariants().is_ok());
 }
 
 TEST(EfsDirectory, RepeatedCreateDeleteCycleDoesNotLeak) {
@@ -91,7 +91,7 @@ TEST(EfsDirectory, RepeatedCreateDeleteCycleDoesNotLeak) {
   rt.run();
   EXPECT_EQ(fs.free_block_count(), free_initial);
   EXPECT_EQ(fs.file_count(), 0u);
-  EXPECT_TRUE(fs.verify_integrity().is_ok());
+  EXPECT_TRUE(fs.verify_invariants().is_ok());
 }
 
 TEST(EfsDirectory, DirectoryFullReported) {
@@ -143,7 +143,7 @@ TEST(EfsDirectory, PersistsThroughSyncAndRemountWithCollisions) {
               util::ErrorCode::kNotFound);
   });
   rt2.run();
-  EXPECT_TRUE(remounted.verify_integrity().is_ok());
+  EXPECT_TRUE(remounted.verify_invariants().is_ok());
 }
 
 }  // namespace

@@ -128,7 +128,7 @@ TEST_P(EfsRandomOps, MatchesReferenceModel) {
       }
 
       if (op % 100 == 99) {
-        ASSERT_TRUE(fs.verify_integrity().is_ok()) << "after op " << op;
+        ASSERT_TRUE(fs.verify_invariants().is_ok()) << "after op " << op;
       }
     }
 
@@ -153,7 +153,7 @@ TEST_P(EfsRandomOps, MatchesReferenceModel) {
   });
   rt.run();
   ASSERT_FALSE(rt.scheduler().deadlocked());
-  EXPECT_TRUE(fs.verify_integrity().is_ok());
+  EXPECT_TRUE(fs.verify_invariants().is_ok());
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -50,7 +50,7 @@ TEST(EfsServer, RemoteCreateWriteReadDelete) {
   });
   rt.run();
   EXPECT_TRUE(done);
-  EXPECT_TRUE(server.core().verify_integrity().is_ok());
+  EXPECT_TRUE(server.core().verify_invariants().is_ok());
 }
 
 TEST(EfsServer, ExtentMapKeepsLookupsFlat) {
@@ -115,7 +115,7 @@ TEST(EfsServer, TwoClientsShareOneServer) {
   }
   rt.run();
   EXPECT_EQ(completed, 2);
-  EXPECT_TRUE(server.core().verify_integrity().is_ok());
+  EXPECT_TRUE(server.core().verify_invariants().is_ok());
 }
 
 TEST(EfsServer, TruncateOverRpc) {
@@ -144,7 +144,7 @@ TEST(EfsServer, TruncateOverRpc) {
               util::ErrorCode::kNotFound);
   });
   rt.run();
-  EXPECT_TRUE(server.core().verify_integrity().is_ok());
+  EXPECT_TRUE(server.core().verify_invariants().is_ok());
 }
 
 TEST(EfsServer, LocalClientCheaperThanRemote) {

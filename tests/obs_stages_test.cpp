@@ -258,7 +258,7 @@ TEST(StageLedger, CrossServerRenameHandoffIsAttributed) {
   cfg.num_bridge_servers = 2;
   BridgeInstance inst(cfg);
   inst.runtime().tracer().enable();
-  inst.run_routed_client("c", [&](sim::Context&, RoutedBridgeClient& client) {
+  inst.run_client("c", [&](sim::Context&, BridgeClient& client) {
     std::string from = name_with_home("hfrom", 0, 2);
     std::string to = name_with_home("hto", 1, 2);
     ASSERT_TRUE(client.create(from).is_ok());
@@ -294,6 +294,37 @@ TEST(StageLedger, CrossServerRenameHandoffIsAttributed) {
   EXPECT_NE(
       inst.runtime().tracer().chrome_trace_json().find("rename.handoff"),
       std::string::npos);
+}
+
+TEST(StageLedger, FanOutsAcrossServersAreOneRequestEach) {
+  auto cfg = SystemConfig::paper_profile(4, 2048);
+  cfg.num_bridge_servers = 2;
+  BridgeInstance inst(cfg);
+  std::uint64_t before = 0;
+  std::uint64_t after = 0;
+  inst.run_client("c", [&](sim::Context&, BridgeClient& client) {
+    std::string on0 = name_with_home("fan", 0, 2);
+    std::string on1 = name_with_home("fan", 1, 2);
+    ASSERT_TRUE(client.create(on0).is_ok());
+    ASSERT_TRUE(client.create(on1).is_ok());
+    before = inst.runtime().stages().completed();
+    auto listing = client.list("");
+    ASSERT_TRUE(listing.is_ok());
+    EXPECT_EQ(listing.value().size(), 2u);
+    ASSERT_TRUE(client.remove_many({on0, on1}).is_ok());
+    after = inst.runtime().stages().completed();
+  });
+  inst.run();
+  EXPECT_EQ(inst.server(0).directory_size(), 0u);
+  EXPECT_EQ(inst.server(1).directory_size(), 0u);
+  EXPECT_EQ(after - before, 2u);
+  const obs::MetricsRegistry& metrics = inst.runtime().metrics();
+  for (const char* op : {"List", "DeleteMany"}) {
+    const obs::Histogram* total =
+        metrics.find_histogram("op." + std::string(op) + ".total_us");
+    ASSERT_NE(total, nullptr) << op;
+    EXPECT_EQ(total->count(), 1u) << op;
+  }
 }
 
 }  // namespace

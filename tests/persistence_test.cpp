@@ -50,7 +50,7 @@ TEST(DiskImage, SaveAndLoadRoundTrip) {
     ASSERT_TRUE(dev.load_image(path).is_ok());
     efs::EfsCore fs(dev, efs::EfsConfig{});
     ASSERT_TRUE(fs.remount_from_disk().is_ok());
-    EXPECT_TRUE(fs.verify_integrity().is_ok());
+    EXPECT_TRUE(fs.verify_invariants().is_ok());
     rt.spawn(0, "r", [&](sim::Context& ctx) {
       for (std::uint32_t i = 0; i < 12; ++i) {
         auto r = fs.read(ctx, 9, i);
@@ -116,7 +116,7 @@ TEST(CrashRecovery, UnsyncedCacheLossIsRepairedByFsck) {
   rt.run();
   efs::EfsCore fs(dev, efs::EfsConfig{});
   ASSERT_TRUE(fs.remount_from_disk().is_ok());
-  EXPECT_TRUE(fs.verify_integrity().is_ok());
+  EXPECT_TRUE(fs.verify_invariants().is_ok());
 }
 
 TEST(RleFilter, CompressibleDataShrinks) {
